@@ -644,7 +644,7 @@ func BenchmarkE13Service(b *testing.B) {
 	tid := gen.RSTChain(200, 0.5)
 	for _, clients := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("query/clients=%d", clients), func(b *testing.B) {
-			s, err := server.New(tid, server.Config{Workers: clients})
+			s, err := server.New(tid, server.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -690,7 +690,7 @@ func BenchmarkE13Service(b *testing.B) {
 	}
 
 	// The batched sweep path: one request carrying 64 assignment lanes
-	// through the frozen snapshot plan's multi-lane DP.
+	// through one override-lane pass over the live view.
 	b.Run("batch/lanes=64", func(b *testing.B) {
 		s, err := server.New(tid, server.Config{})
 		if err != nil {
@@ -745,7 +745,7 @@ func BenchmarkE15Mixed(b *testing.B) {
 		{"readers=6/writers=2/ingest=256", 256, 500 * time.Microsecond},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			s, err := server.New(tid, server.Config{Workers: readers + writers, IngestBatch: tc.ingestBatch, IngestMaxWait: tc.maxWait})
+			s, err := server.New(tid, server.Config{IngestBatch: tc.ingestBatch, IngestMaxWait: tc.maxWait})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -816,7 +816,7 @@ func e13() {
 	fmt.Println("    clients  requests  total_ms  req/s    p50_us   p99_us   cache_hit_rate")
 	const perClient = 200
 	for _, clients := range []int{1, 2, 4, 8} {
-		s, err := server.New(tid, server.Config{Workers: clients})
+		s, err := server.New(tid, server.Config{})
 		if err != nil {
 			fmt.Println("    error:", err)
 			return
@@ -865,7 +865,7 @@ func e13() {
 	}
 
 	fmt.Println("    batched sweep (/batch, 64 lanes/request) vs 64 single /query overrides:")
-	s, err := server.New(tid, server.Config{Workers: 4})
+	s, err := server.New(tid, server.Config{})
 	if err != nil {
 		fmt.Println("    error:", err)
 		return
@@ -961,7 +961,7 @@ func e15() {
 		if batch > 0 {
 			maxWait = 500 * time.Microsecond
 		}
-		s, err := server.New(tid, server.Config{Workers: readers + writers, IngestBatch: batch, IngestMaxWait: maxWait})
+		s, err := server.New(tid, server.Config{IngestBatch: batch, IngestMaxWait: maxWait})
 		if err != nil {
 			fmt.Println("    error:", err)
 			return

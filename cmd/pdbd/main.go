@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pdbd -i instance.pdb [-addr :8080] [-workers N] [-cache N] [-q 'R(?x)']
+//	pdbd -i instance.pdb [-addr :8080] [-cache N] [-q 'R(?x)']
 //	     [-data-dir DIR] [-fsync always|interval|off] [-snapshot-every N]
 //	     [-ingest-batch N] [-ingest-maxwait DUR]
 //	     [-log-format text|json] [-slow-query DUR] [-debug-addr :6060]
@@ -66,7 +66,6 @@ import (
 func main() {
 	inPath := flag.String("i", "", "instance file (default: stdin; ignored when -data-dir holds state)")
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", 0, "worker pool size for parallel evaluations (0: GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 64, "max cached query shapes (live views)")
 	preQ := flag.String("q", "", "pre-register this conjunctive query, e.g. 'R(?x) & S(?x,?y)'")
 	drain := flag.Duration("drain", 10*time.Second, "graceful drain timeout on shutdown")
@@ -88,7 +87,6 @@ func main() {
 
 	reg := obs.NewRegistry()
 	cfg := server.Config{
-		Workers:       *workers,
 		CacheSize:     *cacheSize,
 		IngestBatch:   *ingestBatch,
 		IngestMaxWait: *ingestMaxWait,

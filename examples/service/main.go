@@ -47,7 +47,6 @@ func main() {
 	// (-log-format text|json, -slow-query DUR).
 	var slowLog bytes.Buffer
 	s, err := server.New(tid, server.Config{
-		Workers:   4,
 		SlowQuery: time.Nanosecond, // everything is "slow": demo the record
 		Logger:    slog.New(slog.NewJSONHandler(&slowLog, nil)),
 	})
@@ -107,13 +106,13 @@ func main() {
 			"updates": []map[string]any{{"op": "set", "id": 1, "p": p}},
 		})
 		ev := nextEvent()
-		for _, prob := range ev["probabilities"].(map[string]any) {
+		for _, prob := range ev["changed"].(map[string]any) {
 			fmt.Printf("watch: commit %v -> P(q) = %.3f  (P(S) raised to %.1f)\n", ev["seq"], prob, p)
 		}
 	}
 
 	// A batched sensitivity sweep over P(R(a)) in one request: 5 lanes, one
-	// multi-lane DP pass on a frozen snapshot plan.
+	// override-lane pass over the query's live view.
 	lanes := []map[string]float64{{"0": 0.1}, {"0": 0.3}, {"0": 0.5}, {"0": 0.7}, {"0": 0.9}}
 	br := post("/batch", map[string]any{"query": "R(?x) & S(?x,?y) & T(?y)", "assignments": lanes})
 	fmt.Print("batch sweep over P(R): ")

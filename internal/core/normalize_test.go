@@ -106,46 +106,86 @@ func TestNormalizeCQPreservesSemantics(t *testing.T) {
 }
 
 // TestNormalizeCQShuffleInvariance: the fingerprint of a query is invariant
-// under random atom shuffles and variable renamings.
+// under every atom permutation combined with a random variable renaming —
+// for a fixed four-atom query and for random queries of up to five atoms
+// over few relations and variables, where atoms tie on their sort keys
+// (S(?y,?z) & S(?x,?y) against S(?x,?y) & S(?y,?z), say) and only the tie
+// search makes the normal form canonical.
 func TestNormalizeCQShuffleInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	base := rel.NewCQ(
+	queries := []rel.CQ{rel.NewCQ(
 		rel.NewAtom("R", rel.V("a")),
 		rel.NewAtom("S", rel.V("a"), rel.V("b")),
 		rel.NewAtom("S", rel.V("b"), rel.V("c")),
 		rel.NewAtom("T", rel.V("c"), rel.C("k")),
-	)
-	want := FingerprintCQ(base)
-	names := []string{"u", "v", "w", "z", "a", "b", "c", "q0", "q1", "zz"}
-	for trial := 0; trial < 50; trial++ {
-		perm := r.Perm(len(base.Atoms))
-		ren := map[string]string{}
-		used := map[string]bool{}
-		for _, v := range base.Vars() {
-			for {
-				cand := names[r.Intn(len(names))]
-				if !used[cand] {
-					used[cand] = true
-					ren[v] = cand
-					break
+	)}
+	for len(queries) < 150 {
+		atoms := make([]rel.Atom, 1+r.Intn(5))
+		for i := range atoms {
+			term := func() rel.Term {
+				if r.Intn(8) == 0 {
+					return rel.C("k")
 				}
+				return rel.V(string(rune('a' + r.Intn(4))))
+			}
+			if r.Intn(4) == 0 {
+				atoms[i] = rel.NewAtom("R", term())
+			} else {
+				atoms[i] = rel.NewAtom("S", term(), term())
 			}
 		}
-		atoms := make([]rel.Atom, len(base.Atoms))
-		for i, pi := range perm {
-			a := base.Atoms[pi]
-			terms := make([]rel.Term, len(a.Terms))
-			for j, tm := range a.Terms {
-				if tm.IsVar {
-					terms[j] = rel.V(ren[tm.Name])
-				} else {
-					terms[j] = tm
-				}
-			}
-			atoms[i] = rel.NewAtom(a.Rel, terms...)
-		}
-		if got := FingerprintCQ(rel.NewCQ(atoms...)); got != want {
-			t.Fatalf("trial %d: fingerprint %s != %s", trial, got, want)
-		}
+		queries = append(queries, rel.NewCQ(atoms...))
 	}
+	names := []string{"u", "v", "w", "z", "a", "b", "c", "d", "q0", "q1", "zz"}
+	for qi, base := range queries {
+		want := FingerprintCQ(base)
+		forEachPerm(len(base.Atoms), func(perm []int) {
+			ren := map[string]string{}
+			for i, n := range r.Perm(len(names))[:len(base.Vars())] {
+				ren[base.Vars()[i]] = names[n]
+			}
+			atoms := make([]rel.Atom, len(base.Atoms))
+			for i, pi := range perm {
+				a := base.Atoms[pi]
+				terms := make([]rel.Term, len(a.Terms))
+				for j, tm := range a.Terms {
+					if tm.IsVar {
+						terms[j] = rel.V(ren[tm.Name])
+					} else {
+						terms[j] = tm
+					}
+				}
+				atoms[i] = rel.NewAtom(a.Rel, terms...)
+			}
+			if got := FingerprintCQ(rel.NewCQ(atoms...)); got != want {
+				t.Fatalf("query %d %s as %s: fingerprint %s != %s", qi, base, rel.NewCQ(atoms...), got, want)
+			}
+		})
+	}
+}
+
+// forEachPerm calls fn with every permutation of 0..n-1 (Heap's algorithm;
+// fn must not keep the slice).
+func forEachPerm(n int, fn func([]int)) {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	var gen func(k int)
+	gen = func(k int) {
+		if k <= 1 {
+			fn(perm)
+			return
+		}
+		for i := 0; i < k-1; i++ {
+			gen(k - 1)
+			if k%2 == 0 {
+				perm[i], perm[k-1] = perm[k-1], perm[i]
+			} else {
+				perm[0], perm[k-1] = perm[k-1], perm[0]
+			}
+		}
+		gen(k - 1)
+	}
+	gen(n)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/core/kernel"
 	"repro/internal/logic"
@@ -52,10 +51,6 @@ type ShardedPlan struct {
 	prog foldProgram
 
 	frozen bool
-
-	// onShardEval, when set, receives the wall time of every per-shard DP
-	// evaluation (see SetEvalObserver).
-	onShardEval func(shard int, d time.Duration)
 }
 
 // foldProgram is a compiled cross-shard combine: keys[s] lays out shard s's
@@ -337,17 +332,6 @@ func (sp *ShardedPlan) Freeze() error {
 // use.
 func (sp *ShardedPlan) Frozen() bool { return sp.frozen }
 
-// SetEvalObserver installs fn to receive the wall time of every per-shard
-// DP evaluation this plan runs — the per-shard breakdown behind a request's
-// eval stage. fn must be safe for concurrent calls (frozen plans fan shards
-// over a pool and serve many requests at once; an atomic histogram is the
-// intended sink). Set it once, after Freeze and before the plan starts
-// serving; nil disables. The cost when set is two clock reads per shard per
-// evaluation.
-func (sp *ShardedPlan) SetEvalObserver(fn func(shard int, d time.Duration)) {
-	sp.onShardEval = fn
-}
-
 // evalShards computes every shard's root probability vector under p,
 // fanning the shards over a worker pool when the plan is frozen.
 func (sp *ShardedPlan) evalShards(p logic.Prob) ([][]float64, error) {
@@ -356,14 +340,6 @@ func (sp *ShardedPlan) evalShards(p logic.Prob) ([][]float64, error) {
 	eval := func(i int) {
 		vecs[i] = make([]float64, len(sp.prog.keys[i]))
 		errs[i] = sp.shards[i].rootVec(p, sp.prog.keys[i], vecs[i])
-	}
-	if sp.onShardEval != nil {
-		inner := eval
-		eval = func(i int) {
-			t0 := time.Now()
-			inner(i)
-			sp.onShardEval(i, time.Since(t0))
-		}
 	}
 	if sp.frozen && len(sp.shards) > 1 {
 		runPool(len(sp.shards), 0, eval)

@@ -3,10 +3,12 @@ package incr
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/rel"
 )
 
@@ -15,8 +17,10 @@ import (
 // store and asserts, after every commit, that each live view equals the full
 // re-Prepare oracle to 1e-12 — including after tombstones, revivals,
 // singleton-shard opens, component merges, fallback re-shards and net-zero
-// churn batches that the delta pass short-circuits. Three bytes drive one
-// operation: opcode, argument, probability.
+// churn batches that the delta pass short-circuits. After every commit a
+// random lane batch through View.ProbabilityBatch must also equal the frozen
+// sharded plan prepared on Store.Snapshot (checkLanes). Three bytes drive
+// one operation: opcode, argument, probability.
 func FuzzIncrementalUpdates(f *testing.F) {
 	f.Add([]byte{0, 3, 128, 2, 1, 200, 4, 5, 0, 3, 9, 64})
 	f.Add([]byte{2, 0, 255, 2, 0, 10, 5, 0, 77, 1, 2, 30})
@@ -180,7 +184,105 @@ func FuzzIncrementalUpdates(f *testing.F) {
 				if got := v.Probability(); math.Abs(got-want) > 1e-12 {
 					t.Fatalf("op %d view %d: incremental %v, oracle %v", ops, vi, got, want)
 				}
+				r := rand.New(rand.NewSource(int64(i)<<8 | int64(data[i+1])))
+				checkLanes(t, s, v, r, fmt.Sprintf("op %d view %d", ops, vi))
 			}
 		}
 	})
+}
+
+// checkLanes is the differential oracle of the live lane pass: a random
+// batch of override lanes through v.ProbabilityBatch must equal the frozen
+// sharded plan prepared on a snapshot of the store, lane by lane to 1e-12,
+// at the same commit sequence. The batch mixes healthy lanes (random
+// overrides, overrides to 0 and 1, lanes overriding nothing or restating a
+// fact's current probability) with bad ones (an unknown id, a deleted id, a
+// NaN or >1 probability), which must fail alone, NaN under a LaneErrors.
+func checkLanes(t *testing.T, s *Store, v *View, r *rand.Rand, ctx string) {
+	t.Helper()
+	tid, ids, seq := s.Snapshot()
+	snapIdx := make(map[int]int, len(ids))
+	for i, id := range ids {
+		snapIdx[id] = i
+	}
+	sp, base, err := core.PrepareShardedTID(tid, v.Query(), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Freeze(); err != nil {
+		t.Fatal(err)
+	}
+	var deleted []int
+	for id := 0; id < s.Len(); id++ {
+		if !s.Live(id) {
+			deleted = append(deleted, id)
+		}
+	}
+	var lanes []map[int]float64
+	var bad []bool
+	var ps []logic.Prob
+	for l := 0; l < 8; l++ {
+		lane := map[int]float64{}
+		isBad := false
+		switch kind := r.Intn(8); {
+		case kind == 0 && len(ids) > 0: // restate a current probability
+			id := ids[r.Intn(len(ids))]
+			lane[id], _ = s.Prob(id)
+		case kind == 1: // an id the store never issued
+			lane[s.Len()+r.Intn(3)] = 0.5
+			isBad = true
+		case kind == 2 && len(deleted) > 0: // a tombstoned id
+			lane[deleted[r.Intn(len(deleted))]] = 0.5
+			isBad = true
+		case kind == 3 && len(ids) > 0: // a probability outside [0,1]
+			lane[ids[r.Intn(len(ids))]] = []float64{math.NaN(), 1.5, -0.1}[r.Intn(3)]
+			isBad = true
+		case kind == 4: // overrides nothing
+		default:
+			for n := 1 + r.Intn(3); n > 0 && len(ids) > 0; n-- {
+				lane[ids[r.Intn(len(ids))]] = []float64{0, 1, r.Float64()}[r.Intn(3)]
+			}
+		}
+		lanes = append(lanes, lane)
+		bad = append(bad, isBad)
+		if !isBad {
+			p := make(logic.Prob, len(base))
+			for e, w := range base {
+				p[e] = w
+			}
+			for id, w := range lane {
+				p[tid.EventOf(snapIdx[id])] = w
+			}
+			ps = append(ps, p)
+		}
+	}
+	want, err := sp.ProbabilityBatch(ps)
+	if err != nil {
+		t.Fatalf("%s: frozen reference: %v", ctx, err)
+	}
+	got, gotSeq, err := v.ProbabilityBatch(lanes)
+	if gotSeq != seq {
+		t.Fatalf("%s: lanes at seq %d, snapshot at %d", ctx, gotSeq, seq)
+	}
+	le, _ := err.(core.LaneErrors)
+	if err != nil && le == nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	j := 0
+	for l := range lanes {
+		failed := le != nil && le.Failed(l)
+		if bad[l] {
+			if !failed || !math.IsNaN(got[l]) {
+				t.Fatalf("%s lane %d (%v): got %v, err %v; want a failed NaN lane", ctx, l, lanes[l], got[l], err)
+			}
+			continue
+		}
+		if failed {
+			t.Fatalf("%s lane %d (%v) failed: %v", ctx, l, lanes[l], le[l])
+		}
+		if math.Abs(got[l]-want[j]) > 1e-12 {
+			t.Fatalf("%s lane %d (%v): live %v, frozen snapshot %v", ctx, l, lanes[l], got[l], want[j])
+		}
+		j++
+	}
 }

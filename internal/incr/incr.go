@@ -32,15 +32,16 @@
 //     that overlap are recomputed a single time, and a batch containing any
 //     non-absorbable insert costs one rebuild total.
 //
-// Readers (View.Probability, Stats) take a shared lock and may run
-// concurrently with each other and between commits. Subscribe delivers the
-// refreshed probabilities of every view after each commit; callbacks run
-// after the commit's lock is released (so they may call back into the
-// store), serialized in commit order.
+// Readers (View.Probability, View.ProbabilityBatch, Stats) take a shared
+// lock and may run concurrently with each other and between commits.
+// Subscribe delivers the refreshed probabilities of every view after each
+// commit; callbacks run after the commit's lock is released (so they may
+// call back into the store), serialized in commit order.
 package incr
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -230,18 +231,22 @@ type Store struct {
 // over the store's current facts and probabilities, as one plan plus one
 // materialized table set per shard.
 type View struct {
-	store  *Store
-	q      rel.CQ
-	opts   core.Options
-	combQ  core.Query          // instance-independent join/accept oracle for recombination
-	comb   *core.ShardCombiner // compiled cross-shard fold over the shard views
-	shards []viewShard         // aligned with store.shards
-	prob   float64             // combined probability, refreshed at every commit
+	store      *Store
+	q          rel.CQ
+	opts       core.Options
+	combQ      core.Query          // instance-independent join/accept oracle for recombination
+	comb       *core.ShardCombiner // compiled cross-shard fold over the shard views
+	shards     []viewShard         // aligned with store.shards
+	prob       float64             // combined probability, refreshed at every commit
+	registered bool                // between RegisterView and UnregisterView
 }
 
 type viewShard struct {
 	plan *core.Plan
 	mat  *core.Materialized
+	// evIdx[ci] is the plan's index of the event of shard fact ci: the
+	// slice lookup that routes a lane override by store fact id.
+	evIdx []int32
 }
 
 // NewStore builds a store over a snapshot of the TID instance t (later
@@ -436,6 +441,7 @@ func (s *Store) RegisterView(q rel.CQ, opts core.Options) (*View, error) {
 	if err := v.build(); err != nil {
 		return nil, err
 	}
+	v.registered = true
 	s.views = append(s.views, v)
 	return v, nil
 }
@@ -456,8 +462,21 @@ func (v *View) build() error {
 		}
 		v.shards[k] = viewShard{plan: pl, mat: mat}
 	}
+	for id, k := range v.store.shardOf {
+		if k >= 0 {
+			v.shards[k].setEvent(v.store.cIdx[id], v.store.eventOf(id))
+		}
+	}
 	v.comb = nil // recombine compiles a fresh fold over the new shard set
 	return v.recombine()
+}
+
+// setEvent records the plan's event index of shard fact ci.
+func (vs *viewShard) setEvent(ci int, e logic.Event) {
+	for len(vs.evIdx) <= ci {
+		vs.evIdx = append(vs.evIdx, -1)
+	}
+	vs.evIdx[ci] = int32(vs.plan.EventIndex(e))
 }
 
 // mats lists the view's per-shard materialized tables, in shard order.
@@ -506,6 +525,77 @@ func (v *View) ProbabilitySeq() (float64, uint64) {
 	return v.prob, v.store.seq
 }
 
+// ErrUnregistered is returned by View.ProbabilityBatch on a view that is no
+// longer registered: its tables stopped following the store's commits.
+var ErrUnregistered = errors.New("incr: the view is no longer registered")
+
+// NoFactError is the lane error of an override naming a fact id that is
+// unknown or deleted.
+type NoFactError struct{ ID int }
+
+func (e *NoFactError) Error() string { return fmt.Sprintf("no live fact with id %d", e.ID) }
+
+// ProbabilityBatch answers B = len(lanes) probability-override requests
+// against the view's live tables. Lane l is the query probability when every
+// fact id in lanes[l] takes the given probability and every other fact keeps
+// its current one; the store itself is not changed. The lanes come back with
+// the commit sequence they reflect, read in the same critical section.
+//
+// Lanes fail independently: an id naming no live fact (a *NoFactError) or a
+// probability outside [0,1] fails only its lane, which comes back NaN under
+// a core.LaneErrors while the other lanes keep their values.
+//
+// Only the shards a lane overrides are recomputed, and in them only the
+// spines of the overridden events (core.ShardCombiner.ProbabilityBatch).
+// The pass runs under the store's read lock: passes run concurrently with
+// each other and with other readers, and a commit waits for the passes
+// already running.
+func (v *View) ProbabilityBatch(lanes []map[int]float64) ([]float64, uint64, error) {
+	s := v.store
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.broken != nil {
+		return nil, s.seq, s.broken
+	}
+	if !v.registered {
+		return nil, s.seq, ErrUnregistered
+	}
+	var failed []error
+	var ovs [][]core.LaneOverride // per shard; nil until some lane overrides a fact
+	for l, lane := range lanes {
+		if err := s.checkOverrides(lane); err != nil {
+			if failed == nil {
+				failed = make([]error, len(lanes))
+			}
+			failed[l] = err
+			continue
+		}
+		for id, p := range lane {
+			if ovs == nil {
+				ovs = make([][]core.LaneOverride, len(v.shards))
+			}
+			k := s.shardOf[id]
+			ovs[k] = append(ovs[k], core.LaneOverride{Lane: int32(l), Event: v.shards[k].evIdx[s.cIdx[id]], P: p})
+		}
+	}
+	probs, err := v.comb.ProbabilityBatch(len(lanes), ovs, failed)
+	return probs, s.seq, err
+}
+
+// checkOverrides validates one lane of ProbabilityBatch. Called under the
+// store's read lock.
+func (s *Store) checkOverrides(lane map[int]float64) error {
+	for id, p := range lane {
+		if id < 0 || id >= len(s.facts) || s.deleted[id] {
+			return &NoFactError{ID: id}
+		}
+		if err := pdb.ValidateProb(p); err != nil {
+			return fmt.Errorf("incr: fact id %d: %w", id, err)
+		}
+	}
+	return nil
+}
+
 // Shape returns the aggregate structural statistics of the view's shard
 // plans: total nice nodes, and the maximum width, bag size and depth across
 // shards. Depth bounds the number of DP tables one probability update
@@ -552,6 +642,7 @@ func (s *Store) UnregisterView(v *View) {
 	for i, other := range s.views {
 		if other == v {
 			s.views = append(s.views[:i], s.views[i+1:]...)
+			v.registered = false
 			return
 		}
 	}
@@ -577,10 +668,9 @@ func (s *Store) Seq() uint64 {
 // of snapshot fact i) and the commit sequence the snapshot was taken at —
 // all read in one critical section, so the caller can cache the snapshot
 // keyed by sequence without racing concurrent commits. The snapshot is
-// detached: later store commits do not touch it. This is the bridge to the
-// frozen-plan machinery of internal/core — a query service prepares a
-// ShardedPlan on the snapshot and evaluates request-supplied probability
-// assignments against it without holding any store lock.
+// detached: later store commits do not touch it. It is the bridge to plans
+// prepared from scratch: Oracle and the differential tests compare the live
+// views against them.
 func (s *Store) Snapshot() (*pdb.TID, []int, uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -1075,7 +1165,9 @@ func (s *Store) openShard(id int, f rel.Fact) {
 			s.needRebuild = true
 			return
 		}
-		v.shards = append(v.shards, viewShard{plan: pl, mat: mat})
+		vs := viewShard{plan: pl, mat: mat}
+		vs.setEvent(ci, s.eventOf(id))
+		v.shards = append(v.shards, vs)
 		v.comb = nil // shard set changed; recombine compiles the new fold post-commit
 	}
 	s.stats.NewShards++
@@ -1093,13 +1185,16 @@ func (s *Store) attachToShard(k, id int, f rel.Fact, p float64) {
 			return
 		}
 	}
-	ci := s.shards[k].Add(f, logic.Var(s.eventOf(id)))
+	e := s.eventOf(id)
+	ci := s.shards[k].Add(f, logic.Var(e))
 	s.shardOf[id], s.cIdx[id] = k, ci
 	for _, v := range s.views {
-		if err := v.shards[k].mat.StageAttach(f, ci, s.eventOf(id), p); err != nil {
+		vs := &v.shards[k]
+		if err := vs.mat.StageAttach(f, ci, e, p); err != nil {
 			s.needRebuild = true
 			return
 		}
+		vs.setEvent(ci, e)
 	}
 	if len(s.views) > 0 {
 		s.stats.Attached++

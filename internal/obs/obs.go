@@ -133,10 +133,15 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...str
 
 // Histogram returns the histogram named name with the given label pairs and
 // bucket upper bounds, creating it on first use. An existing histogram keeps
-// its original buckets. bounds must be strictly increasing; the overflow
-// (+Inf) bucket is implicit.
+// its original buckets, so a reader that only looks a histogram up may pass
+// nil bounds; a histogram created with nil bounds gets LatencyBuckets.
+// bounds must be strictly increasing; the overflow (+Inf) bucket is
+// implicit.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
 	s := r.getOrCreate(name, help, kindHistogram, labels, func() *series {
+		if bounds == nil {
+			bounds = LatencyBuckets()
+		}
 		return &series{h: NewHistogram(bounds)}
 	})
 	return s.h

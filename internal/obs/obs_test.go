@@ -38,6 +38,14 @@ func TestRegistryIdempotent(t *testing.T) {
 	if h1 != h2 {
 		t.Fatal("same histogram should be returned")
 	}
+	// A lookup with nil bounds finds the existing histogram, or creates an
+	// empty one on the default buckets.
+	if r.Histogram("h_seconds", "", nil) != h1 {
+		t.Fatal("nil-bounds lookup should return the existing histogram")
+	}
+	if sn := r.Histogram("absent_seconds", "", nil).Snapshot(); sn.Count != 0 || sn.Quantile(0.5) != 0 {
+		t.Fatalf("nil-bounds lookup of an absent histogram = %+v, want empty", sn)
+	}
 }
 
 func TestRegistryKindMismatchPanics(t *testing.T) {

@@ -4,9 +4,7 @@ import (
 	"container/list"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/incr"
-	"repro/internal/logic"
 	"repro/internal/obs"
 )
 
@@ -145,117 +143,4 @@ func (pc *planCache) stats() (hits, misses, evictions uint64, size int) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	return pc.hits, pc.misses, pc.evictions, pc.order.Len()
-}
-
-// frozenEntry is one cached frozen-plan snapshot for the /batch and
-// assignment-override paths: a component-sharded plan prepared on the
-// store's live facts as of commit seq, its base probability map, and the
-// store-id → event index used to apply request-supplied overrides.
-type frozenEntry struct {
-	seq     uint64
-	sp      *core.ShardedPlan
-	base    logic.Prob
-	eventOf map[int]logic.Event // store fact id -> event of the snapshot plan
-}
-
-// frozenCache caches frozen snapshot plans per fingerprint. Entries are
-// valid only for the commit sequence they were prepared at — a store commit
-// invalidates them, so a hit requires seq to match. Builds are single-flight
-// per fingerprint. The cache is bounded by max; stale or excess entries are
-// dropped on insert.
-type frozenCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*frozenSlot
-	hits    uint64
-	misses  uint64
-
-	mHit, mMiss *obs.Counter // optional obs handles (nil until instrument)
-}
-
-// instrument attaches the metric handles hit/miss events are recorded on.
-func (fc *frozenCache) instrument(hit, miss *obs.Counter) {
-	fc.mu.Lock()
-	fc.mHit, fc.mMiss = hit, miss
-	fc.mu.Unlock()
-}
-
-type frozenSlot struct {
-	mu    sync.Mutex // serializes rebuilds of this fingerprint
-	entry *frozenEntry
-	pins  int // gets in flight on this slot (guarded by frozenCache.mu)
-}
-
-func newFrozenCache(max int) *frozenCache {
-	if max < 1 {
-		max = 1
-	}
-	return &frozenCache{max: max, entries: map[string]*frozenSlot{}}
-}
-
-// get returns the frozen snapshot for fp at commit seq, building it with
-// build on a miss or when the cached snapshot is stale. hit reports whether
-// a still-fresh entry was reused.
-func (fc *frozenCache) get(fp string, seq uint64, build func() (*frozenEntry, error)) (e *frozenEntry, hit bool, err error) {
-	fc.mu.Lock()
-	slot, ok := fc.entries[fp]
-	if !ok {
-		slot = &frozenSlot{}
-		fc.entries[fp] = slot
-		// Bound the table: drop an arbitrary other entry when over budget
-		// (snapshot plans are cheap to rebuild relative to serving value, so
-		// LRU precision is not worth a second list here). A pinned slot —
-		// one some get() has fetched and not yet released — is never
-		// dropped: deleting it would let a concurrent request for the same
-		// fingerprint open a fresh slot and run a duplicate Prepare,
-		// breaking the single-flight guarantee.
-		for key, other := range fc.entries {
-			if len(fc.entries) <= fc.max {
-				break
-			}
-			if key != fp && other.pins == 0 {
-				delete(fc.entries, key)
-			}
-		}
-	}
-	slot.pins++
-	fc.mu.Unlock()
-	defer func() {
-		fc.mu.Lock()
-		slot.pins--
-		fc.mu.Unlock()
-	}()
-
-	slot.mu.Lock()
-	defer slot.mu.Unlock()
-	if slot.entry != nil && slot.entry.seq == seq {
-		fc.mu.Lock()
-		fc.hits++
-		if fc.mHit != nil {
-			fc.mHit.Inc()
-		}
-		fc.mu.Unlock()
-		return slot.entry, true, nil
-	}
-	fc.mu.Lock()
-	fc.misses++
-	if fc.mMiss != nil {
-		fc.mMiss.Inc()
-	}
-	fc.mu.Unlock()
-	// slot.mu is a per-fingerprint build lock: holding it across build is the
-	// singleflight — concurrent getters of the same snapshot wait for one
-	// build instead of duplicating it. The store lock is not held here.
-	e, err = build() //pdblint:allow lockcallback per-slot singleflight holds slot.mu across build by design
-	if err != nil {
-		return nil, false, err
-	}
-	slot.entry = e
-	return e, false, nil
-}
-
-func (fc *frozenCache) stats() (hits, misses uint64, size int) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return fc.hits, fc.misses, len(fc.entries)
 }

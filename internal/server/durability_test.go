@@ -164,3 +164,75 @@ func TestDurabilityInStatsAndHealth(t *testing.T) {
 		t.Errorf("sealed at seq %d, want %d", rec.Seq, up.Seq)
 	}
 }
+
+// TestRecoverBatchFromWarmViews: after a crash, WAL replay and the warm
+// restart's Preregister of the snapshot's views, /batch answers as the
+// pre-crash server did at the same commit sequence — from the re-registered
+// live view, with no Prepare of its own.
+func TestRecoverBatchFromWarmViews(t *testing.T) {
+	s, mem, w := durableServer(t, Config{})
+	ts := newHTTPServer(t, s)
+	const query = "R(?x) & S(?x,?y) & T(?y)"
+	postJSON(t, ts.URL+"/query", map[string]any{"query": query}, nil)
+	if err := w.Snapshot(); err != nil { // records the registered view
+		t.Fatal(err)
+	}
+	postJSON(t, ts.URL+"/update", map[string]any{"updates": []map[string]any{
+		{"op": "set", "id": 0, "p": 0.35},
+		{"op": "insert", "rel": "S", "args": []string{"a", "c"}, "p": 0.6},
+		{"op": "insert", "rel": "T", "args": []string{"c"}, "p": 0.45},
+	}}, nil)
+	postJSON(t, ts.URL+"/update", map[string]any{"updates": []map[string]any{
+		{"op": "delete", "id": 2},
+	}}, nil)
+	batch := batchRequest{Query: query, Assignments: []map[string]float64{
+		{},
+		{"1": 1},
+		{"3": 0, "4": 1},
+		{"2": 0.5}, // deleted before the crash: fails its lane on both sides
+	}}
+	var before batchResponse
+	postJSON(t, ts.URL+"/batch", batch, &before)
+	w.Kill()
+
+	rec, err := wal.Replay(mem)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if rec.Seq != before.Seq {
+		t.Fatalf("recovered seq %d, pre-crash batch at %d", rec.Seq, before.Seq)
+	}
+	s2 := NewFromStore(rec.Store, Config{})
+	if len(rec.Views) != 1 {
+		t.Fatalf("snapshot recorded views %v, want the one registered", rec.Views)
+	}
+	for _, q := range rec.Views {
+		if err := s2.Preregister(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts2 := newHTTPServer(t, s2)
+	prepares := s2.Stats().Prepares
+	var after batchResponse
+	postJSON(t, ts2.URL+"/batch", batch, &after)
+	if after.Seq != before.Seq {
+		t.Fatalf("recovered batch at seq %d, pre-crash %d", after.Seq, before.Seq)
+	}
+	if got := s2.Stats().Prepares; got != prepares {
+		t.Errorf("/batch on the warm view prepared: %d -> %d", prepares, got)
+	}
+	if len(after.Errors) != len(before.Errors) {
+		t.Fatalf("lane errors %q, pre-crash %q", after.Errors, before.Errors)
+	}
+	for l := range batch.Assignments {
+		if d := math.Abs(after.Probabilities[l] - before.Probabilities[l]); d > 1e-12 {
+			t.Errorf("lane %d: recovered %v, pre-crash %v", l, after.Probabilities[l], before.Probabilities[l])
+		}
+		if before.Errors != nil && after.Errors[l] != before.Errors[l] {
+			t.Errorf("lane %d error: recovered %q, pre-crash %q", l, after.Errors[l], before.Errors[l])
+		}
+	}
+	if before.Errors == nil || before.Errors[3] == "" {
+		t.Errorf("override of a deleted fact did not fail its lane: %+v", before)
+	}
+}

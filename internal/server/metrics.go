@@ -42,13 +42,10 @@ type serverMetrics struct {
 	// plan-cache events: hit/miss/evict plus coalesce (a hit that joined an
 	// in-flight registration instead of finding a finished one).
 	cacheHit, cacheMiss, cacheEvict, cacheCoalesce *obs.Counter
-	frozenHit, frozenMiss                          *obs.Counter
 
 	// preprocessing vs evaluation split (the Prepare-once economics).
-	prepareView    *obs.Histogram // live-view registrations
-	prepareFrozen  *obs.Histogram // frozen snapshot plan builds
-	evalSeconds    *obs.Histogram // frozen-plan evaluations (single + batch)
-	shardEvalGauge *obs.Histogram // per-shard DP time inside an evaluation
+	prepareView *obs.Histogram // live-view registrations
+	evalSeconds *obs.Histogram // override-lane passes on live views (assignment /query and /batch)
 
 	batchLanes *obs.Histogram
 
@@ -94,19 +91,11 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 		"live-view plan cache events", "event", "evict")
 	m.cacheCoalesce = reg.Counter("pdbd_plan_cache_events_total",
 		"live-view plan cache events", "event", "coalesce")
-	m.frozenHit = reg.Counter("pdbd_frozen_cache_events_total",
-		"frozen snapshot plan cache events", "event", "hit")
-	m.frozenMiss = reg.Counter("pdbd_frozen_cache_events_total",
-		"frozen snapshot plan cache events", "event", "miss")
 
 	m.prepareView = reg.Histogram("pdbd_prepare_seconds",
 		"preprocessing time per plan build", obs.LatencyBuckets(), "kind", "view")
-	m.prepareFrozen = reg.Histogram("pdbd_prepare_seconds",
-		"preprocessing time per plan build", obs.LatencyBuckets(), "kind", "frozen")
 	m.evalSeconds = reg.Histogram("pdbd_eval_seconds",
-		"frozen-plan evaluation time (single and batched)", obs.LatencyBuckets())
-	m.shardEvalGauge = reg.Histogram("pdbd_shard_eval_seconds",
-		"per-shard DP time inside a frozen-plan evaluation", obs.LatencyBuckets())
+		"override-lane pass time on live views (assignment queries and batches)", obs.LatencyBuckets())
 
 	m.batchLanes = reg.Histogram("pdbd_batch_lanes",
 		"assignments carried per /batch request", obs.ExpBuckets(1, 2, 12))

@@ -57,9 +57,10 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 }
 
 // TestMetricsEndToEnd drives every instrumented path of a durable server —
-// live queries (miss then hit), a frozen-plan assignment query, a batch, a
-// durable update — and asserts the exposition carries the series the
-// acceptance criteria name, with sane values.
+// live queries (miss then hit), an assignment query, a batch, a durable
+// update — and asserts the exposition carries the series the acceptance
+// criteria name, with sane values, and none of the retired snapshot-plan
+// series.
 func TestMetricsEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
 	mem := wal.NewMemBackend()
@@ -121,11 +122,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`pdbd_http_responses_total{endpoint="query",code="400"}`,
 		`pdbd_plan_cache_events_total{event="hit"}`,
 		`pdbd_plan_cache_events_total{event="miss"}`,
-		`pdbd_frozen_cache_events_total{event="miss"}`,
 		`pdbd_prepare_seconds_count{kind="view"}`,
-		`pdbd_prepare_seconds_count{kind="frozen"}`,
 		`pdbd_eval_seconds_count`,
-		`pdbd_shard_eval_seconds_count`,
 		`pdbd_batch_lanes_count`,
 		`incr_commits_total`,
 		`incr_commit_seconds_count`,
@@ -141,6 +139,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 		if v <= 0 {
 			t.Errorf("series %s = %v, want > 0", name, v)
+		}
+	}
+	// Override requests run on the live views: no snapshot-plan cache, no
+	// snapshot Prepare, no per-shard snapshot evaluation.
+	for name := range m {
+		for _, gone := range []string{"pdbd_frozen_cache_events_total", `kind="frozen"`, "pdbd_shard_eval_seconds"} {
+			if strings.Contains(name, gone) {
+				t.Errorf("retired series %s still exposed", name)
+			}
 		}
 	}
 	if got := m[`pdbd_http_request_seconds_count{endpoint="query"}`]; got != 4 {

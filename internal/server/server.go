@@ -1,6 +1,7 @@
 // Package server implements pdbd's HTTP/JSON query service over the
-// engine's serving stack: a live incr.Store absorbs updates while compiled
-// plans answer probability requests.
+// engine's serving stack: a live incr.Store absorbs updates while its
+// registered views — one compiled plan per query shape — answer probability
+// requests.
 //
 // The request regime follows query answering under updates (Berkholz et
 // al.'s FO+MOD maintenance, Kara et al.'s free access patterns): pay the
@@ -11,14 +12,13 @@
 //     hits an LRU plan cache keyed by the normalized fingerprint, so
 //     textually different but identical CQs share one registered live view;
 //     cache misses register the view single-flight. A request carrying an
-//     explicit probability assignment is instead answered by a frozen
-//     component-sharded snapshot plan (core.PrepareSharded + Freeze), whose
-//     evaluation fans over the worker pool.
-//   - POST /batch folds many probability assignments into one multi-lane
-//     ProbabilityBatch pass over the frozen snapshot plan; per-lane
-//     failures surface individually (core.LaneErrors), healthy lanes keep
-//     their values. With "parallel": true the lanes are served as
-//     independent requests over the core.Serve worker pool instead.
+//     explicit probability assignment is answered by the same view as a
+//     one-lane override pass (incr.View.ProbabilityBatch).
+//   - POST /batch answers many probability assignments in one multi-lane
+//     override pass over the live view: only the spines of the overridden
+//     facts are recomputed, at the view's current commit; per-lane failures
+//     surface individually (core.LaneErrors), healthy lanes keep their
+//     values. "parallel": true is accepted and ignored.
 //   - POST /update routes set/insert/delete batches through
 //     Store.ApplyBatch: one commit, shared dirty spines, returning the
 //     commit sequence and the store's work counters. With Config.IngestBatch
@@ -38,6 +38,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -49,7 +50,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/incr"
-	"repro/internal/logic"
 	"repro/internal/obs"
 	"repro/internal/pdb"
 	"repro/internal/pdbio"
@@ -57,14 +57,10 @@ import (
 	"repro/internal/wal"
 )
 
-// Config tunes a Server. The zero value is serviceable: GOMAXPROCS workers,
-// a 64-entry plan cache, default engine options.
+// Config tunes a Server. The zero value is serviceable: a 64-entry plan
+// cache, default engine options.
 type Config struct {
-	// Workers sizes the core.Serve pool for parallel-mode evaluations.
-	// <= 0 uses runtime.GOMAXPROCS.
-	Workers int
-	// CacheSize bounds the live-view plan cache (and the frozen snapshot
-	// cache). <= 0 means 64.
+	// CacheSize bounds the live-view plan cache. <= 0 means 64.
 	CacheSize int
 	// MaxBatchLanes caps the number of assignments one /batch request may
 	// carry; larger requests are rejected with 413 before any evaluation
@@ -107,7 +103,6 @@ type Server struct {
 	mux   *http.ServeMux
 
 	cache  *planCache
-	frozen *frozenCache
 	wal    *wal.WAL       // nil when the server runs without durability
 	ingest *ingestBatcher // nil when update batching is disabled
 
@@ -129,7 +124,7 @@ type Server struct {
 	nBatchLanes atomic.Uint64
 	nUpdateReqs atomic.Uint64
 	nUpdates    atomic.Uint64
-	nPrepares   atomic.Uint64 // view registrations + frozen snapshot prepares
+	nPrepares   atomic.Uint64 // view registrations
 	nWatchers   atomic.Int64
 	nDropped    atomic.Uint64 // watch events dropped on slow consumers
 }
@@ -166,7 +161,6 @@ func NewFromStore(st *incr.Store, cfg Config) *Server {
 		store:   st,
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
-		frozen:  newFrozenCache(cfg.CacheSize),
 		metrics: newServerMetrics(reg),
 		logger:  logger,
 		viewMu:  sync.Mutex{},
@@ -183,7 +177,6 @@ func NewFromStore(st *incr.Store, cfg Config) *Server {
 	})
 	s.cache.instrument(s.metrics.cacheHit, s.metrics.cacheMiss,
 		s.metrics.cacheEvict, s.metrics.cacheCoalesce)
-	s.frozen.instrument(s.metrics.frozenHit, s.metrics.frozenMiss)
 	// The server owns the store's metric wiring: commit latency, spine work
 	// and routing outcomes land on the same registry as the HTTP families.
 	st.SetMetrics(incr.NewMetrics(reg))
@@ -377,8 +370,8 @@ type queryRequest struct {
 	// Query is the conjunctive query, pdbcli syntax: "R(?x) & S(?x,?y)".
 	Query string `json:"query"`
 	// Assignment optionally overrides fact probabilities (store fact id ->
-	// probability) for this evaluation only; it routes the request to the
-	// frozen snapshot plan instead of the live view.
+	// probability) for this evaluation only; the live view answers it as a
+	// one-lane override pass.
 	Assignment map[string]float64 `json:"assignment,omitempty"`
 }
 
@@ -394,8 +387,8 @@ type batchRequest struct {
 	// Assignments carries one probability override map per lane (store fact
 	// id -> probability); omitted facts keep their live probability.
 	Assignments []map[string]float64 `json:"assignments"`
-	// Parallel serves the lanes as independent single evaluations over the
-	// core.Serve worker pool instead of the multi-lane batched DP.
+	// Parallel is accepted for compatibility and ignored: every batch is
+	// one multi-lane pass over the live view.
 	Parallel bool `json:"parallel,omitempty"`
 }
 
@@ -486,55 +479,32 @@ func (s *Server) view(nq rel.CQ, fp string) (*incr.View, bool, error) {
 	})
 }
 
-// --- frozen snapshot plans (assignment/batch path) ---
-
-// frozenPlan returns the frozen sharded snapshot plan for the fingerprint
-// at the store's current commit, preparing one when missing or stale; hit
-// reports whether a still-fresh cached plan answered.
-func (s *Server) frozenPlan(nq rel.CQ, fp string) (*frozenEntry, bool, error) {
-	return s.frozen.get(fp, s.store.Seq(), func() (*frozenEntry, error) {
-		t0 := time.Now()
-		tid, ids, seq := s.store.Snapshot()
-		sp, base, err := core.PrepareShardedTID(tid, nq, s.cfg.Options)
-		if err != nil {
-			return nil, err
-		}
-		if err := sp.Freeze(); err != nil {
-			return nil, err
-		}
-		s.metrics.prepareFrozen.ObserveSince(t0)
-		shardEval := s.metrics.shardEvalGauge
-		sp.SetEvalObserver(func(_ int, d time.Duration) {
-			shardEval.Observe(d.Seconds())
-		})
-		s.nPrepares.Add(1)
-		eventOf := make(map[int]logic.Event, len(ids))
-		for i, id := range ids {
-			eventOf[id] = tid.EventOf(i)
-		}
-		return &frozenEntry{seq: seq, sp: sp, base: base, eventOf: eventOf}, nil
-	})
-}
-
-// laneProb builds one lane's probability map: the snapshot base overridden
-// by the request assignment (store fact id -> probability).
-func (fe *frozenEntry) laneProb(assignment map[string]float64) (logic.Prob, error) {
-	m := make(logic.Prob, len(fe.base))
-	for e, p := range fe.base {
-		m[e] = p
-	}
-	for key, p := range assignment {
+// overrides converts a request assignment (store fact id -> probability)
+// into one override lane of incr.View.ProbabilityBatch.
+func overrides(a map[string]float64) (map[int]float64, error) {
+	lane := make(map[int]float64, len(a))
+	for key, p := range a {
 		id, err := strconv.Atoi(key)
 		if err != nil {
 			return nil, fmt.Errorf("assignment key %q is not a fact id", key)
 		}
-		e, ok := fe.eventOf[id]
-		if !ok {
-			return nil, fmt.Errorf("no live fact with id %s", key)
-		}
-		m[e] = p
+		lane[id] = p
 	}
-	return m, nil
+	return lane, nil
+}
+
+// evalLanes runs override lanes on v, the live view of fp. A view evicted
+// from the plan cache since the caller looked it up no longer follows the
+// store; it is looked up (and registered) afresh once.
+func (s *Server) evalLanes(v *incr.View, nq rel.CQ, fp string, lanes []map[int]float64) ([]float64, uint64, error) {
+	defer s.metrics.evalSeconds.ObserveSince(time.Now())
+	probs, seq, err := v.ProbabilityBatch(lanes)
+	if errors.Is(err, incr.ErrUnregistered) {
+		if v, _, err = s.view(nq, fp); err == nil {
+			probs, seq, err = v.ProbabilityBatch(lanes)
+		}
+	}
+	return probs, seq, err
 }
 
 // --- handlers ---
@@ -554,35 +524,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	span.SetAttr("fp", fp)
 	span.SetAttr("normalized", nq.String())
+	path := "live"
 	if len(req.Assignment) > 0 {
-		span.SetAttr("path", "frozen")
-		span.Stage("plan")
-		fe, hit, err := s.frozenPlan(nq, fp)
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		span.SetAttr("cached", hit)
-		span.SetAttr("shards", fe.sp.NumShards())
-		span.Stage("lanes")
-		p, err := fe.laneProb(req.Assignment)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		span.Stage("eval")
-		t0 := time.Now()
-		prob, err := fe.sp.Probability(p)
-		if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		s.metrics.evalSeconds.ObserveSince(t0)
-		span.Stage("write")
-		writeJSON(w, queryResponse{Probability: prob, Seq: fe.seq, Normalized: nq.String(), Cached: hit})
-		return
+		path = "lanes"
 	}
-	span.SetAttr("path", "live")
+	span.SetAttr("path", path)
 	span.Stage("plan")
 	v, hit, err := s.view(nq, fp)
 	if err != nil {
@@ -590,8 +536,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span.SetAttr("cached", hit)
-	span.Stage("eval")
-	prob, seq := v.ProbabilitySeq()
+	var prob float64
+	var seq uint64
+	if len(req.Assignment) > 0 {
+		span.Stage("lanes")
+		lane, err := overrides(req.Assignment)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		span.Stage("eval")
+		probs, lseq, err := s.evalLanes(v, nq, fp, []map[int]float64{lane})
+		if le, ok := err.(core.LaneErrors); ok {
+			err = le[0]
+		}
+		if err != nil {
+			code := http.StatusUnprocessableEntity
+			var nf *incr.NoFactError
+			if errors.As(err, &nf) {
+				code = http.StatusBadRequest
+			}
+			httpError(w, code, err.Error())
+			return
+		}
+		prob, seq = probs[0], lseq
+	} else {
+		span.Stage("eval")
+		prob, seq = v.ProbabilitySeq()
+	}
 	span.Stage("write")
 	writeJSON(w, queryResponse{Probability: prob, Seq: seq, Normalized: nq.String(), Cached: hit})
 }
@@ -620,66 +592,45 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	span.SetAttr("fp", fp)
 	span.SetAttr("lanes", len(req.Assignments))
-	span.SetAttr("parallel", req.Parallel)
 	span.Stage("plan")
-	fe, hit, err := s.frozenPlan(nq, fp)
+	v, hit, err := s.view(nq, fp)
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
 	span.SetAttr("cached", hit)
-	span.SetAttr("shards", fe.sp.NumShards())
 	span.Stage("lanes")
 	B := len(req.Assignments)
 	s.nBatchLanes.Add(uint64(B))
 	s.metrics.batchLanes.Observe(float64(B))
 	laneErrs := make([]string, B)
-	// Only lanes whose assignment parses are evaluated: a lane with a bad
-	// fact id fails at admission, it does not burn a DP lane (or a whole
-	// sharded evaluation in parallel mode).
-	var ps []logic.Prob
-	var valid []int
+	// A lane whose assignment does not parse fails at admission; it does
+	// not take a lane of the pass.
+	lanes := make([]map[int]float64, 0, B)
+	valid := make([]int, 0, B)
 	for i, a := range req.Assignments {
-		p, err := fe.laneProb(a)
+		lane, err := overrides(a)
 		if err != nil {
 			laneErrs[i] = err.Error()
 			continue
 		}
-		ps = append(ps, p)
+		lanes = append(lanes, lane)
 		valid = append(valid, i)
 	}
-
-	probs := make([]float64, B)
-	evaled := make([]float64, len(valid))
 	span.Stage("eval")
-	tEval := time.Now()
-	if req.Parallel {
-		reqs := make([]core.Request, len(valid))
-		for i := range ps {
-			reqs[i] = core.Request{Sharded: fe.sp, P: ps[i]}
-		}
-		for i, resp := range core.Serve(reqs, s.cfg.Workers) {
-			evaled[i] = resp.Probability
-			if resp.Err != nil {
-				laneErrs[valid[i]] = resp.Err.Error()
+	evaled, seq, err := s.evalLanes(v, nq, fp, lanes)
+	if le, ok := err.(core.LaneErrors); ok {
+		for i, lerr := range le {
+			if lerr != nil {
+				laneErrs[valid[i]] = lerr.Error()
 			}
 		}
-	} else if len(valid) > 0 {
-		out, err := fe.sp.ProbabilityBatch(ps)
-		if le, ok := err.(core.LaneErrors); ok {
-			for i, lerr := range le {
-				if lerr != nil {
-					laneErrs[valid[i]] = lerr.Error()
-				}
-			}
-		} else if err != nil {
-			httpError(w, http.StatusUnprocessableEntity, err.Error())
-			return
-		}
-		copy(evaled, out)
+	} else if err != nil {
+		httpError(w, http.StatusUnprocessableEntity, err.Error())
+		return
 	}
-	s.metrics.evalSeconds.ObserveSince(tEval)
 	span.Stage("write")
+	probs := make([]float64, B)
 	for i, lane := range valid {
 		probs[lane] = evaled[i]
 	}
@@ -690,7 +641,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			probs[i] = 0 // never ship NaN through JSON
 		}
 	}
-	resp := batchResponse{Probabilities: probs, Seq: fe.seq}
+	resp := batchResponse{Probabilities: probs, Seq: seq}
 	if anyErr {
 		resp.Errors = laneErrs
 	}
@@ -941,9 +892,10 @@ type Statsz struct {
 	CacheMisses   uint64 `json:"cache_misses"`
 	CacheEvicts   uint64 `json:"cache_evictions"`
 	CacheSize     int    `json:"cache_size"`
+	// Deprecated: FrozenHits and FrozenMisses always read 0. Override
+	// requests are answered by the live views; no snapshot plans are kept.
 	FrozenHits    uint64 `json:"frozen_hits"`
 	FrozenMisses  uint64 `json:"frozen_misses"`
-	FrozenSize    int    `json:"frozen_size"`
 	CacheCoalesce uint64 `json:"cache_coalesces"`
 	Watchers      int64  `json:"watchers"`
 	WatchDropped  uint64 `json:"watch_events_dropped"`
@@ -968,7 +920,6 @@ type Statsz struct {
 // Stats snapshots the serving counters (also served as /statsz).
 func (s *Server) Stats() Statsz {
 	hits, misses, evicts, size := s.cache.stats()
-	fh, fm, fs := s.frozen.stats()
 	var dur *wal.Stats
 	if s.wal != nil {
 		ws := s.wal.Stats()
@@ -999,9 +950,6 @@ func (s *Server) Stats() Statsz {
 		CacheMisses:     misses,
 		CacheEvicts:     evicts,
 		CacheSize:       size,
-		FrozenHits:      fh,
-		FrozenMisses:    fm,
-		FrozenSize:      fs,
 		CacheCoalesce:   s.metrics.cacheCoalesce.Value(),
 		Watchers:        s.nWatchers.Load(),
 		WatchDropped:    s.nDropped.Load(),

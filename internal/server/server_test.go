@@ -104,8 +104,11 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestQueryAssignmentOverride: an assignment query is answered by the
+// shape's live view — cached once the view is registered, with no further
+// Prepare — and leaves the store untouched.
 func TestQueryAssignmentOverride(t *testing.T) {
-	_, ts := newTestServer(t, rstTID(0.9, 0.5, 0.8), Config{})
+	s, ts := newTestServer(t, rstTID(0.9, 0.5, 0.8), Config{})
 	var qr queryResponse
 	resp := postJSON(t, ts.URL+"/query", queryRequest{
 		Query:      "R(?x) & S(?x,?y) & T(?y)",
@@ -118,18 +121,22 @@ func TestQueryAssignmentOverride(t *testing.T) {
 		t.Fatalf("override P(q) = %v, want %v", qr.Probability, 0.72)
 	}
 	if qr.Cached {
-		t.Error("first assignment request reported as cached (the frozen plan was just prepared)")
+		t.Error("first request of the shape reported as cached (its view was just registered)")
 	}
+	prepares := s.Stats().Prepares
 	var qrHit queryResponse
 	postJSON(t, ts.URL+"/query", queryRequest{
-		Query:      "R(?x) & S(?x,?y) & T(?y)",
+		Query:      "T(?b) & S(?a,?b) & R(?a)",
 		Assignment: map[string]float64{"1": 0.25},
 	}, &qrHit)
 	if !qrHit.Cached {
-		t.Error("second assignment request missed the frozen cache")
+		t.Error("assignment query on a registered view not reported as cached")
 	}
 	if math.Abs(qrHit.Probability-0.9*0.25*0.8) > 1e-12 {
-		t.Fatalf("cached frozen plan answered %v", qrHit.Probability)
+		t.Fatalf("live view override answered %v", qrHit.Probability)
+	}
+	if got := s.Stats().Prepares; got != prepares {
+		t.Errorf("assignment query on a registered view prepared: %d -> %d", prepares, got)
 	}
 	// The live store is untouched by per-request overrides.
 	var qr2 queryResponse
@@ -148,7 +155,7 @@ func TestQueryAssignmentOverride(t *testing.T) {
 
 func TestBatchEndpoint(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		_, ts := newTestServer(t, rstTID(0.9, 0.5, 0.8), Config{Workers: 4})
+		_, ts := newTestServer(t, rstTID(0.9, 0.5, 0.8), Config{})
 		var br batchResponse
 		resp := postJSON(t, ts.URL+"/batch", batchRequest{
 			Query: "R(?x) & S(?x,?y) & T(?y)",
@@ -375,7 +382,7 @@ func (r *sseReader) next(t *testing.T) pdbio.WatchEvent {
 // /watch stream receives commit-ordered refreshed probabilities that match a
 // from-scratch incr.Oracle recomputation to 1e-12.
 func TestEndToEndServing(t *testing.T) {
-	s, ts := newTestServer(t, gen.RSTChain(6, 0.5), Config{Workers: 4})
+	s, ts := newTestServer(t, gen.RSTChain(6, 0.5), Config{})
 	q := rel.HardQuery()
 	fp := core.FingerprintCQ(q)
 
@@ -528,7 +535,7 @@ func TestDrain(t *testing.T) {
 // only require the server never errors and stays internally consistent,
 // checked by a final oracle comparison once writers are done.
 func TestServerConcurrentMixed(t *testing.T) {
-	s, ts := newTestServer(t, gen.RSTChain(5, 0.5), Config{Workers: 4, CacheSize: 4})
+	s, ts := newTestServer(t, gen.RSTChain(5, 0.5), Config{CacheSize: 4})
 	queries := []string{
 		"R(?x) & S(?x,?y) & T(?y)",
 		"S(?a,?b) & T(?b)",
@@ -594,9 +601,9 @@ func TestServerConcurrentMixed(t *testing.T) {
 	}
 }
 
-// TestFrozenSnapshotRefresh: frozen batch plans are invalidated by commits —
-// a /batch after an update answers from the new facts.
-func TestFrozenSnapshotRefresh(t *testing.T) {
+// TestBatchAfterCommitUsesLiveView: a /batch after an update answers from
+// the live view at the new commit — no Prepare runs for it.
+func TestBatchAfterCommitUsesLiveView(t *testing.T) {
 	s, ts := newTestServer(t, rstTID(0.9, 0.5, 0.8), Config{})
 	var br batchResponse
 	postJSON(t, ts.URL+"/batch", batchRequest{
@@ -606,6 +613,7 @@ func TestFrozenSnapshotRefresh(t *testing.T) {
 	if math.Abs(br.Probabilities[0]-0.36) > 1e-12 {
 		t.Fatalf("pre-update batch = %v", br.Probabilities[0])
 	}
+	prepares := s.Stats().Prepares
 	postJSON(t, ts.URL+"/update", map[string]any{"updates": []updateOp{{Op: "set", ID: ip(0), P: 1}}}, nil)
 	var br2 batchResponse
 	postJSON(t, ts.URL+"/batch", batchRequest{
@@ -615,12 +623,11 @@ func TestFrozenSnapshotRefresh(t *testing.T) {
 	if math.Abs(br2.Probabilities[0]-0.4) > 1e-12 {
 		t.Fatalf("post-update batch = %v, want 0.4", br2.Probabilities[0])
 	}
-	if br2.Seq != s.Store().Seq() {
-		t.Fatalf("batch snapshot seq %d, store %d", br2.Seq, s.Store().Seq())
+	if br2.Seq != s.Store().Seq() || br2.Seq == br.Seq {
+		t.Fatalf("batch seq %d (before the update %d), store %d", br2.Seq, br.Seq, s.Store().Seq())
 	}
-	st := s.Stats()
-	if st.FrozenMisses != 2 {
-		t.Errorf("frozen misses = %d, want 2 (initial + refresh)", st.FrozenMisses)
+	if got := s.Stats().Prepares; got != prepares {
+		t.Errorf("/batch after a commit prepared: %d -> %d", prepares, got)
 	}
 }
 
@@ -659,7 +666,6 @@ func ip(i int) *int { return &i }
 // batcher keeps its per-caller 422 semantics.
 func TestIngestBatcherConcurrentWriters(t *testing.T) {
 	s, ts := newTestServer(t, gen.RSTChain(12, 0.5), Config{
-		Workers:       4,
 		CacheSize:     4,
 		IngestBatch:   64,
 		IngestMaxWait: 2 * time.Millisecond,
@@ -775,6 +781,150 @@ func TestWatchFullOptIn(t *testing.T) {
 	for fp, p := range de.Changed {
 		if fe.Full[fp] != p {
 			t.Fatalf("delta %v disagrees with full frame %v", de.Changed, fe.Full)
+		}
+	}
+}
+
+// postErr is postJSON for helper goroutines: it reports failures as an
+// error instead of failing the test from a goroutine that is not the
+// test's own.
+func postErr(url string, body, into any) error {
+	data, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: status %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(into)
+}
+
+// TestConcurrentLanesMatchLibrary runs /batch, /update and /query
+// concurrently (CI runs the package under -race) and checks every answer
+// against the library: each /batch lane and each /query equals a fresh
+// Prepare on the store's facts as of the commit sequence its response
+// carries. Every /update commits alone, so replaying the acknowledged
+// updates in sequence order rebuilds the state at any sequence.
+func TestConcurrentLanesMatchLibrary(t *testing.T) {
+	tid := gen.RSTChain(4, 0.5)
+	_, ts := newTestServer(t, tid, Config{})
+	const query = "R(?x) & S(?x,?y) & T(?y)"
+	type set struct {
+		id int
+		p  float64
+	}
+	type batchAns struct {
+		lanes []map[string]float64
+		resp  batchResponse
+	}
+	var (
+		mu      sync.Mutex
+		sets    = map[uint64]set{}
+		batches []batchAns
+		queries []queryResponse
+		wg      sync.WaitGroup
+	)
+	n := tid.NumFacts()
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				u := set{id: (3*i + w) % n, p: float64((i+w)%9+1) / 10}
+				var ur updateResponse
+				if err := postErr(ts.URL+"/update", map[string]any{"updates": []updateOp{{Op: "set", ID: ip(u.id), P: u.p}}}, &ur); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				sets[ur.Seq] = u
+				mu.Unlock()
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < 15; i++ {
+				lanes := []map[string]float64{
+					{},
+					{fmt.Sprint((i + r) % n): 0},
+					{fmt.Sprint(i % n): 1, fmt.Sprint((i + 5) % n): 0.3},
+				}
+				var br batchResponse
+				if err := postErr(ts.URL+"/batch", batchRequest{Query: query, Assignments: lanes}, &br); err != nil {
+					t.Error(err)
+					return
+				}
+				var qr queryResponse
+				if err := postErr(ts.URL+"/query", queryRequest{Query: query}, &qr); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				batches = append(batches, batchAns{lanes: lanes, resp: br})
+				queries = append(queries, qr)
+				mu.Unlock()
+			}
+		}(r)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	q, err := pdbio.ParseCQ(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// answer evaluates q at commit seq under one lane's overrides.
+	answer := func(seq uint64, lane map[string]float64) float64 {
+		t.Helper()
+		probs := make([]float64, n)
+		for i := range probs {
+			probs[i] = tid.Prob(i)
+		}
+		for k := uint64(1); k <= seq; k++ {
+			u, ok := sets[k]
+			if !ok {
+				t.Fatalf("no acknowledged update carries seq %d", k)
+			}
+			probs[u.id] = u.p
+		}
+		for key, p := range lane {
+			var id int
+			fmt.Sscan(key, &id)
+			probs[id] = p
+		}
+		at := pdb.NewTID()
+		for i := 0; i < n; i++ {
+			at.Add(tid.Fact(i), probs[i])
+		}
+		res, err := core.ProbabilityTID(at, q, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Probability
+	}
+	for _, b := range batches {
+		if b.resp.Errors != nil {
+			t.Fatalf("seq %d: lane errors %v", b.resp.Seq, b.resp.Errors)
+		}
+		for l, lane := range b.lanes {
+			if want := answer(b.resp.Seq, lane); math.Abs(b.resp.Probabilities[l]-want) > 1e-12 {
+				t.Fatalf("/batch at seq %d lane %d (%v) = %v, library %v", b.resp.Seq, l, lane, b.resp.Probabilities[l], want)
+			}
+		}
+	}
+	for _, qr := range queries {
+		if want := answer(qr.Seq, nil); math.Abs(qr.Probability-want) > 1e-12 {
+			t.Fatalf("/query at seq %d = %v, library %v", qr.Seq, qr.Probability, want)
 		}
 	}
 }
