@@ -86,6 +86,40 @@ func BenchmarkE1TIDScalingPrepared(b *testing.B) {
 	}
 }
 
+// BenchmarkPrepareCold measures the cold one-shot path a fresh request pays
+// when no plan can be reused: ProbabilityTID on a random partial k-tree
+// instance — joint graph, decomposition, nice form, the structural pass that
+// determinizes the automaton and compiles the row program, and one program
+// run. Sizes, widths and the three CQ shapes follow the plan-cold mix of
+// pdbbench, so this is its library-level counterpart.
+func BenchmarkPrepareCold(b *testing.B) {
+	shapes := []struct {
+		name string
+		q    rel.CQ
+	}{
+		{"RST", rel.HardQuery()},
+		{"RS", rel.NewCQ(rel.NewAtom("R", rel.V("x")), rel.NewAtom("S", rel.V("x"), rel.V("y")))},
+		{"ST", rel.NewCQ(rel.NewAtom("S", rel.V("x"), rel.V("y")), rel.NewAtom("T", rel.V("y")))},
+	}
+	for _, sh := range shapes {
+		for _, k := range []int{1, 2} {
+			for _, n := range []int{16, 28, 40} {
+				r := rand.New(rand.NewSource(int64(100*k + n)))
+				g, _ := gen.PartialKTree(n, k, 0.8, r)
+				tid := gen.RSTOverGraph(g, 0.01, 0.1, r)
+				b.Run(fmt.Sprintf("%s/w=%d/n=%d", sh.name, k, n), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := core.ProbabilityTID(tid, sh.q, core.Options{}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // sweepMaps builds b probability maps over the plan events of tid, varying
 // every event away from its base value — the parameter-sweep workload of the
 // batched and parallel benchmarks.
@@ -295,10 +329,12 @@ func BenchmarkE1Update(b *testing.B) {
 }
 
 // BenchmarkE1JoinHeavy is the join-merge regression guard: a partial 3-tree
-// instance whose branching decomposition is dense in NiceJoin nodes, under
-// the prepared scalar path (the bits-sorted run merge in computeNode) and the
-// frozen compiled-program path. The quadratic all-pairs join scan this
-// replaced made this shape superlinearly slower.
+// instance whose branching decomposition is dense in NiceJoin nodes,
+// evaluated through the compiled row program before and after Freeze (the
+// "dp" entry once measured the map-keyed DP that unfrozen plans ran; both
+// entries now run the same program). The quadratic all-pairs join scan the
+// compiler's bits-indexed merge replaced made this shape superlinearly
+// slower.
 func BenchmarkE1JoinHeavy(b *testing.B) {
 	r := rand.New(rand.NewSource(42))
 	g, _ := gen.PartialKTree(120, 3, 0.6, r)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core/kernel"
 	"repro/internal/logic"
-	"repro/internal/treedec"
 )
 
 // LaneErrors reports per-lane failures of a batched evaluation: entry i is
@@ -88,64 +87,16 @@ func allLanesNaN(errs []error) []float64 {
 	return out
 }
 
-// batchTable is the multi-lane form of a row table, used on unfrozen plans
-// (frozen plans run the compiled row program instead — see rowprog.go): rows
-// are indexed by the same structural keys as the serial DP, but each row
-// carries one weight per lane (per probability assignment), stored
-// contiguously in vals with lane stride B. Keeping the lanes flat lets the
-// inner loops run as kernel calls over adjacent memory.
-type batchTable struct {
-	idx  map[rowKey]int32
-	vals []float64
-}
-
-// slot returns the lane vector of row k, creating a zeroed one if absent.
-// The returned slice is invalidated by the next slot call that inserts
-// (vals may be reallocated), so callers use it immediately.
-func (bt *batchTable) slot(k rowKey, lanes int) []float64 {
-	if i, ok := bt.idx[k]; ok {
-		off := int(i) * lanes
-		return bt.vals[off : off+lanes]
-	}
-	bt.idx[k] = int32(len(bt.idx))
-	off := len(bt.vals)
-	for j := 0; j < lanes; j++ {
-		bt.vals = append(bt.vals, 0)
-	}
-	return bt.vals[off : off+lanes]
-}
-
-func (bt *batchTable) lanesOf(i int32, lanes int) []float64 {
-	off := int(i) * lanes
-	return bt.vals[off : off+lanes]
-}
-
-func (st *evalState) allocBatch(hint int) *batchTable {
-	if n := len(st.freeBatch); n > 0 {
-		bt := st.freeBatch[n-1]
-		st.freeBatch = st.freeBatch[:n-1]
-		clear(bt.idx)
-		bt.vals = bt.vals[:0]
-		return bt
-	}
-	return &batchTable{idx: make(map[rowKey]int32, hint)}
-}
-
-func (st *evalState) releaseBatch(bt *batchTable) {
-	st.freeBatch = append(st.freeBatch, bt)
-}
-
 // ProbabilityBatch evaluates the plan under B = len(ps) event probability
 // maps in one pass and returns the B exact query probabilities, out[i]
 // matching what Probability(ps[i]) returns (up to float summation order).
 //
-// The dynamic program's row structure — table keys, transitions, set
-// interning — depends only on the compiled plan, never on the probabilities,
-// so the batch path runs it once and carries a weight lane per assignment
-// through every row. On a frozen plan the whole pass runs the compiled row
-// program: dense lane blocks driven through the kernel primitives, with no
-// map traffic at all, so the per-assignment cost of a parameter sweep
-// collapses to a handful of float operations per row.
+// The dynamic program's row structure depends only on the compiled plan,
+// never on the probabilities, so the batch path runs the plan's row program
+// once and carries a weight lane per assignment through every row: dense
+// lane blocks driven through the kernel primitives, with no map traffic at
+// all, so the per-assignment cost of a parameter sweep collapses to a
+// handful of float operations per row.
 //
 // Lanes fail independently: an invalid probability map, or a per-lane mass
 // drift, marks only that lane. When any lane fails, the returned error is a
@@ -169,29 +120,18 @@ func (pl *Plan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 	if nan := allLanesNaN(lerrs); nan != nil {
 		return nan, LaneErrors(lerrs)
 	}
+	prog := pl.program()
 	out := make([]float64, B)
 	totals := make([]float64, B)
-	if pl.prog != nil {
-		root := pl.runBatchProg(st, pe, B)
-		for i, set := range pl.prog.rootSets {
-			v := root[i*B : i*B+B]
-			kernel.AddTo(totals, v)
-			if pl.accept[set] {
-				kernel.AddTo(out, v)
-			}
+	root := pl.runBatchProg(st, prog, pe, B)
+	for i, set := range prog.rootSets {
+		v := root[i*B : i*B+B]
+		kernel.AddTo(totals, v)
+		if pl.accept[set] {
+			kernel.AddTo(out, v)
 		}
-		st.arena.Put(root)
-	} else {
-		root := pl.runBatchDP(st, pe, B)
-		for k, i := range root.idx {
-			v := root.lanesOf(i, B)
-			kernel.AddTo(totals, v)
-			if pl.accept[k.set] {
-				kernel.AddTo(out, v)
-			}
-		}
-		st.releaseBatch(root)
 	}
+	st.arena.Put(root)
 	finishLanes(out, totals, &lerrs)
 	return out, laneError(lerrs)
 }
@@ -222,102 +162,4 @@ func finishLanes(out, totals []float64, lerrs *[]error) {
 			out[l] = 1
 		}
 	}
-}
-
-// runBatchDP executes the multi-lane dynamic program over map-keyed tables
-// under the lane-major weight matrix pe (as filled by fillLaneWeights; B
-// lanes) and returns the root batch table, whose ownership passes to the
-// caller (release it back into st). It is the unfrozen fallback of the
-// batch path; frozen plans run the compiled row program (runBatchProg)
-// instead. Facts are fused into the row keys (factRemap) and joins merge
-// bits-sorted runs, mirroring the scalar computeNode.
-//
-//pdblint:hotpath -maprange
-func (pl *Plan) runBatchDP(st *evalState, pe []float64, B int) *batchTable {
-	if len(st.btables) < len(pl.nodes) {
-		st.btables = make([]*batchTable, len(pl.nodes))
-	}
-	tables := st.btables
-
-	for _, t := range pl.post {
-		nd := &pl.nodes[t]
-		var tab *batchTable
-		switch nd.kind {
-		case treedec.NiceLeaf:
-			tab = st.allocBatch(1)
-			kernel.Fill(tab.slot(pl.factRemap(nd, rowKey{set: pl.startSet}), B), 1)
-
-		case treedec.NiceIntroduce:
-			child := tables[nd.child0]
-			tables[nd.child0] = nil
-			tab = st.allocBatch(2 * len(child.idx))
-			if nd.isEvent {
-				pos := nd.pos
-				for k, i := range child.idx {
-					v := child.lanesOf(i, B)
-					kernel.AddTo(tab.slot(pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, false)}), B), v)
-					kernel.AddTo(tab.slot(pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, true)}), B), v)
-				}
-			} else {
-				for k, i := range child.idx {
-					kernel.AddTo(tab.slot(pl.factRemap(nd, rowKey{set: pl.introduceSet(k.set, nd.vertex), bits: k.bits}), B), child.lanesOf(i, B))
-				}
-			}
-			st.releaseBatch(child)
-
-		case treedec.NiceForget:
-			child := tables[nd.child0]
-			tables[nd.child0] = nil
-			tab = st.allocBatch(len(child.idx))
-			if nd.isEvent {
-				pos := nd.pos
-				w := pe[nd.eventIdx*B : nd.eventIdx*B+B]
-				for k, i := range child.idx {
-					v := child.lanesOf(i, B)
-					dst := tab.slot(pl.factRemap(nd, rowKey{set: k.set, bits: removeBit(k.bits, pos)}), B)
-					if k.bits&(1<<uint(pos)) != 0 {
-						kernel.MulAdd(dst, v, w)
-					} else {
-						kernel.FMAdd1m(dst, v, w)
-					}
-				}
-			} else {
-				for k, i := range child.idx {
-					kernel.AddTo(tab.slot(pl.factRemap(nd, rowKey{set: pl.forgetSet(k.set, nd.vertex), bits: k.bits}), B), child.lanesOf(i, B))
-				}
-			}
-			st.releaseBatch(child)
-
-		case treedec.NiceJoin:
-			left := tables[nd.child0]
-			right := tables[nd.child1]
-			tables[nd.child0] = nil
-			tables[nd.child1] = nil
-			tab = st.allocBatch(len(left.idx))
-			// Merge bits-sorted runs instead of scanning all pairs; see the
-			// scalar join in computeNode.
-			ents := st.joinEnts[:0]
-			for rk, ri := range right.idx {
-				ents = append(ents, joinEnt{k: rk, i: ri})
-			}
-			sortJoinEnts(ents)
-			st.joinEnts = ents
-			for lk, li := range left.idx {
-				lv := left.lanesOf(li, B)
-				lo, hi := joinRun(ents, lk.bits)
-				for e := lo; e < hi; e++ {
-					rv := right.lanesOf(ents[e].i, B)
-					dst := tab.slot(pl.factRemap(nd, rowKey{set: pl.joinSets(lk.set, ents[e].k.set), bits: lk.bits}), B)
-					kernel.MulAdd(dst, lv, rv)
-				}
-			}
-			st.releaseBatch(left)
-			st.releaseBatch(right)
-		}
-		tables[t] = tab
-	}
-
-	root := tables[pl.root]
-	tables[pl.root] = nil
-	return root
 }

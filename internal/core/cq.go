@@ -141,6 +141,7 @@ type cqState struct {
 
 func (c *CQQuery) encode(s cqState) string {
 	var sb strings.Builder
+	sb.Grow(4*len(s.assign) + 8)
 	for i, a := range s.assign {
 		if i > 0 {
 			sb.WriteByte(',')
@@ -297,7 +298,14 @@ func (c *CQQuery) joinSlow(ka, kb string) (string, bool) {
 		return cqDone, true
 	}
 	a, b := c.decode(ka), c.decode(kb)
-	m := cqState{assign: make([]int, len(c.vars)), mask: a.mask | b.mask}
+	// Most pairs clash; merge into a stack buffer so a clash allocates
+	// nothing (encode copies the merged assignment into the key).
+	var stack [16]int
+	m := cqState{assign: stack[:0], mask: a.mask | b.mask}
+	if len(c.vars) > len(stack) {
+		m.assign = make([]int, len(c.vars))
+	}
+	m.assign = m.assign[:len(c.vars)]
 	for i := range m.assign {
 		x, y := a.assign[i], b.assign[i]
 		switch {

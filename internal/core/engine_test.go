@@ -100,41 +100,100 @@ func TestPropertyProbabilityTIDMatchesEnumeration(t *testing.T) {
 	}
 }
 
+// TestPropertyEmittedLineageIsExactDDNNF checks the lineage Result emits
+// (a walk over the compiled row program, fused unary chains included) on
+// three input families: TIDs under the hard query, correlated pc-instances
+// whose annotations share and negate events, and TIDs under the
+// connectivity query. Each circuit must (1) reproduce the engine
+// probability through the d-DNNF pass and (2) agree with the query on every
+// possible world.
 func TestPropertyEmittedLineageIsExactDDNNF(t *testing.T) {
+	type lineageCase struct {
+		name  string
+		c     *pdb.CInstance
+		p     logic.Prob
+		q     Query
+		holds func(world *rel.Instance) bool
+	}
 	cfg := &quick.Config{MaxCount: 60}
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tid := randomTID(r, 1+r.Intn(7))
-		q := rel.HardQuery()
-		c, p := tid.ToCInstance()
-		cq := NewCQQuery(q, c.Inst, c.Inst.IndexDomain())
-		res, err := EvaluatePC(c, p, cq, Options{EmitLineage: true})
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		// (1) d-DNNF pass reproduces the engine probability.
-		got := res.Lineage.DDNNFProbability(res.Root, p)
-		if math.Abs(got-res.Probability) > 1e-9 {
-			t.Logf("seed %d: ddnnf %v vs engine %v", seed, got, res.Probability)
-			return false
-		}
-		// (2) The lineage is semantically correct on every valuation.
-		ok := true
-		logic.EnumerateValuations(c.Events(), func(v logic.Valuation) {
-			world := c.World(v)
-			if res.Lineage.Eval(res.Root, v) != q.Holds(world) {
-				ok = false
+		hard := rel.HardQuery()
+		var cases []lineageCase
+
+		tidC, tidP := randomTID(r, 1+r.Intn(7)).ToCInstance()
+		cases = append(cases, lineageCase{"tid", tidC, tidP,
+			NewCQQuery(hard, tidC.Inst, tidC.Inst.IndexDomain()), hard.Holds})
+
+		corrC, corrP := randomCorrelatedPC(r, 1+r.Intn(7))
+		cases = append(cases, lineageCase{"correlated", corrC, corrP,
+			NewCQQuery(hard, corrC.Inst, corrC.Inst.IndexDomain()), hard.Holds})
+
+		reachC, reachP := randomEdgeTID(r, 1+r.Intn(6), []string{"a", "b", "c", "d"}).ToCInstance()
+		cases = append(cases, lineageCase{"reach", reachC, reachP,
+			NewReachQuery("E", "a", "d", reachC.Inst, reachC.Inst.IndexDomain()),
+			func(world *rel.Instance) bool { return connectedBF(world, "E", "a", "d") }})
+
+		for _, tc := range cases {
+			res, err := EvaluatePC(tc.c, tc.p, tc.q, Options{EmitLineage: true})
+			if err != nil {
+				t.Logf("seed %d %s: %v", seed, tc.name, err)
+				return false
 			}
-		})
-		if !ok {
-			t.Logf("seed %d: lineage disagrees with possible-worlds semantics", seed)
+			// (1) d-DNNF pass reproduces the engine probability.
+			got := res.Lineage.DDNNFProbability(res.Root, tc.p)
+			if math.Abs(got-res.Probability) > 1e-9 {
+				t.Logf("seed %d %s: ddnnf %v vs engine %v", seed, tc.name, got, res.Probability)
+				return false
+			}
+			// (2) The lineage is semantically correct on every valuation.
+			ok := true
+			logic.EnumerateValuations(tc.c.Events(), func(v logic.Valuation) {
+				if res.Lineage.Eval(res.Root, v) != tc.holds(tc.c.World(v)) {
+					ok = false
+				}
+			})
+			if !ok {
+				t.Logf("seed %d %s: lineage disagrees with possible-worlds semantics", seed, tc.name)
+				return false
+			}
 		}
-		return ok
+		return true
 	}, cfg)
 	if err != nil {
 		t.Error(err)
 	}
+}
+
+// randomCorrelatedPC builds a small pc-instance over R/S/T whose facts are
+// annotated by literals and conjunctions over three shared events, so
+// several facts depend on one event, some through its negation.
+func randomCorrelatedPC(r *rand.Rand, n int) (*pdb.CInstance, logic.Prob) {
+	events := []logic.Event{"u", "v", "w"}
+	names := []string{"a", "b", "c"}
+	c := pdb.NewCInstance()
+	for i := 0; i < n; i++ {
+		var ann logic.Formula = logic.Var(events[r.Intn(len(events))])
+		switch r.Intn(3) {
+		case 0:
+			ann = logic.Not(ann)
+		case 1:
+			ann = logic.And(ann, logic.Not(logic.Var(events[r.Intn(len(events))])))
+		}
+		switch r.Intn(3) {
+		case 0:
+			c.AddFact(ann, "R", names[r.Intn(len(names))])
+		case 1:
+			c.AddFact(ann, "S", names[r.Intn(len(names))], names[r.Intn(len(names))])
+		default:
+			c.AddFact(ann, "T", names[r.Intn(len(names))])
+		}
+	}
+	p := logic.Prob{}
+	for _, e := range events {
+		p[e] = float64(r.Intn(11)) / 10
+	}
+	return c, p
 }
 
 func TestProbabilityPCCorrelatedAnnotations(t *testing.T) {

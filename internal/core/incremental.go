@@ -93,8 +93,9 @@ const (
 
 // Materialize runs one full evaluation of the plan under p and keeps every
 // node table, returning the live view. The plan may be frozen if only event
-// probabilities will change (the freeze pass visited every transition the
-// recomputations can need); StageAttach additionally requires it unfrozen.
+// probabilities will change (Prepare's structural pass visited every
+// transition the per-node compiles can need); StageAttach additionally
+// requires it unfrozen.
 func (pl *Plan) Materialize(p logic.Prob) (*Materialized, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -261,6 +262,7 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 	gen := m.deltaGen
 	root := m.pl.root
 	rootChanged := false
+	var dp *detPass
 	for _, t := range m.pl.post {
 		d := m.dirty[t]
 		if d == dirtyNone {
@@ -288,7 +290,10 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 		np := m.progs[t]
 		recompiled := false
 		if np == nil {
-			m.layouts[t], np = m.pl.compileNodeProg(t, m.layouts)
+			if dp == nil {
+				dp = newDetPass(m.pl) // this commit's structural scratch
+			}
+			m.layouts[t], np = dp.compileNodeProg(t, m.layouts)
 			m.progs[t] = np
 			recompiled = true
 		}

@@ -470,3 +470,82 @@ func TestMaterializedManyAttachesMatchOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanEvaluationAfterAttach evaluates the mutated plan itself after
+// Materialized.AttachFact: attaching drops the plan's row program, so its own
+// Probability, Result and ProbabilityBatch must recompile against the
+// spliced structure and agree with a plan freshly prepared on the grown
+// instance.
+func TestPlanEvaluationAfterAttach(t *testing.T) {
+	tid := gen.RSTChain(6, 0.5)
+	c, p := tid.ToCInstance()
+	q := rel.HardQuery()
+	pl, err := PrepareCQ(c, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := pl.Materialize(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range []rel.Fact{
+		rel.NewFact("R", "v2"),
+		rel.NewFact("S", "v3", "v4"),
+		rel.NewFact("T", "v1"),
+	} {
+		if !pl.CanAttach(f) {
+			t.Fatalf("cannot attach %s", f)
+		}
+		e := logic.Event(fmt.Sprintf("att%d", i))
+		pr := 0.3 + 0.2*float64(i)
+		fi := c.Add(f, logic.Var(e))
+		p[e] = pr
+		if _, err := m.AttachFact(f, fi, e, pr); err != nil {
+			t.Fatal(err)
+		}
+
+		fresh, err := PrepareCQ(c, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		alt := logic.Prob{}
+		for ev, v := range p {
+			alt[ev] = 1 - v
+		}
+		lanes := []logic.Prob{p, alt}
+		want, err := fresh.ProbabilityBatch(lanes)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		got, err := pl.Probability(p)
+		if err != nil {
+			t.Fatalf("after %s: Probability: %v", f, err)
+		}
+		if math.Abs(got-want[0]) > 1e-12 {
+			t.Errorf("after %s: Probability %v, fresh %v", f, got, want[0])
+		}
+		res, err := pl.Result(alt)
+		if err != nil {
+			t.Fatalf("after %s: Result: %v", f, err)
+		}
+		if math.Abs(res.Probability-want[1]) > 1e-12 {
+			t.Errorf("after %s: Result %v, fresh %v", f, res.Probability, want[1])
+		}
+		if res.NiceNodes != m.NumNodes() {
+			t.Errorf("after %s: Result reports %d nice nodes, the view has %d", f, res.NiceNodes, m.NumNodes())
+		}
+		batch, err := pl.ProbabilityBatch(lanes)
+		if err != nil {
+			t.Fatalf("after %s: ProbabilityBatch: %v", f, err)
+		}
+		for l := range lanes {
+			if math.Abs(batch[l]-want[l]) > 1e-12 {
+				t.Errorf("after %s: lane %d %v, fresh %v", f, l, batch[l], want[l])
+			}
+		}
+		if math.Abs(m.Probability()-want[0]) > 1e-12 {
+			t.Errorf("after %s: view %v, fresh %v", f, m.Probability(), want[0])
+		}
+	}
+}

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
-	"repro/internal/circuit"
 	"repro/internal/core/kernel"
 	"repro/internal/logic"
 	"repro/internal/pdb"
@@ -32,24 +30,27 @@ func errMassDrift(total float64) error {
 // 1/2 engine. Prepare hoists every probability-independent stage out of the
 // per-call path — domain indexing, the joint instance+event graph, its tree
 // decomposition, the nice decomposition, fact homing, compiled annotation
-// evaluators and the determinized automaton's state-set transition tables —
-// so that (*Plan).Probability and (*Plan).Result only run the numeric
-// dynamic program: row tables keyed by interned state-set ids and event
-// bitmasks, with no string keys and no per-row allocations.
+// evaluators, and the determinized automaton itself. The row keys of every
+// node table depend only on that structure, never on the probabilities, so
+// Prepare runs one structural pass (detPass) that determinizes every
+// reachable transition and compiles the whole dynamic program into the row
+// program (rowprog.go). Every evaluation — Probability, Result (lineage
+// included), ProbabilityBatch, the sharded root vectors — runs that program:
+// pure kernel arithmetic over dense row blocks, with no interning and no map
+// traffic.
 //
-// Transition tables are filled lazily on first use and shared by every
-// subsequent evaluation (and by repeated rows within one evaluation), which
-// is why even the first call through a Plan is much faster than the
-// pre-split engine.
+// The pass keeps its pair-level scratch to itself; the plan retains only the
+// program, the interned states and sets, and the set-level transition memos
+// that later per-node compiles (Materialize, attach recommits) look up.
 //
 // # Concurrency
 //
-// All per-evaluation state (row tables, weight buffers) lives in pooled
-// evaluation states, so the only mutable shared state is the lazily-filled
-// determinized-transition caches. (*Plan).Freeze eagerly completes and seals
-// them: a frozen plan is immutable and safe for any number of concurrent
-// Probability / ProbabilityBatch / Result calls (see also Serve). An
-// unfrozen plan must be confined to one goroutine at a time, as before.
+// All per-evaluation state (weight buffers, row blocks) lives in pooled
+// evaluation states, so a plan is read-only under evaluation and any number
+// of goroutines may evaluate it concurrently once it is sealed by
+// (*Plan).Freeze (see also Serve). The one structural mutation left is
+// attachFact, which Materialized.StageAttach runs on an unfrozen plan
+// confined to one goroutine; Freeze forbids it from then on.
 //
 //pdblint:frozen
 type Plan struct {
@@ -80,50 +81,38 @@ type Plan struct {
 	sets   setInterner
 	accept []bool // accept[setID]: does the set contain an accepting state?
 
-	// Determinized transition caches, filled lazily; hits are the common
-	// case. All hot-path keys are integers: the query's string states are
-	// touched only on the first encounter of a state, state pair, or set.
-	// After Freeze the caches are complete for every row the DP can reach
-	// and are never written again.
-	setTrans   map[setTransKey]int32 // (op, operand, set) -> successor set
-	joinCache  map[uint64]int32      // (left set, right set) -> joined set
-	stepCache  map[stepKey][]int32   // (op, operand, state) -> successor states
-	pairCache  map[uint64]int32      // (state, state) -> merged state, -1 dead
-	pruneCache map[int32]int32       // unpruned set -> pruned set
+	// Set-level determinization memos, written only by structural passes
+	// (Prepare's, and a Materialized commit's per-node recompiles). Keys are
+	// integers: the query's string states are touched only on the first
+	// encounter of a state or set. Prepare's pass visits every transition the
+	// plan's structure can reach, so on a frozen plan every lookup hits and
+	// the memos are never written again.
+	setTrans   map[uint64]int32   // transKey(op, operand, set) -> successor set
+	joinCache  map[uint64]int32   // (left set, right set) -> joined set
+	stepCache  map[uint64][]int32 // transKey(op, operand, state) -> successor states
+	pruneCache map[string]int32   // unpruned set's key image -> pruned set
 
-	// frozen marks the transition caches as complete and sealed; set by
-	// Freeze before the plan is shared across goroutines.
+	// frozen seals the plan for concurrent use; set by Freeze before the
+	// plan is shared across goroutines.
 	frozen bool
 
-	// prog is the compiled row program (see rowprog.go), built by Freeze:
-	// with the transition caches complete, the entire dynamic program
-	// compiles into dense per-node edge lists, and frozen evaluations run
-	// pure kernel arithmetic with no map traffic. nil until Freeze;
-	// read-only afterwards.
+	// prog is the compiled row program (see rowprog.go), built by Prepare.
+	// attachFact drops it; the next evaluation on that (unfrozen,
+	// single-goroutine) plan recompiles it.
 	prog *rowProgram
 
-	// Structural scratch, touched only on cache misses (never once frozen).
-	strBuf []string
-	idBuf  []int32
-
-	// evalPool recycles per-evaluation state (weight buffers, row tables);
+	// evalPool recycles per-evaluation state (weight buffers, row blocks);
 	// each Probability/ProbabilityBatch/Result call checks one out, so
 	// concurrent evaluations never share scratch.
 	evalPool sync.Pool
 }
 
-// evalState is the per-evaluation mutable state of a Plan: everything the
-// dynamic program writes to. It is pooled per plan, so steady-state serial
+// evalState is the per-evaluation mutable state of a Plan: everything a
+// program run writes to. It is pooled per plan, so steady-state serial
 // evaluation reuses one state with no allocation, while concurrent
 // evaluations each get their own.
 type evalState struct {
-	peBuf    []float64
-	freeTabs []map[rowKey]rowVal
-	tables   []map[rowKey]rowVal
-
-	// Multi-lane counterparts used by the unfrozen ProbabilityBatch path.
-	freeBatch []*batchTable
-	btables   []*batchTable
+	peBuf []float64
 
 	// Row-program state: the lane-block arena and the per-node block
 	// pointers of runBatchProg (see rowprog.go).
@@ -132,44 +121,6 @@ type evalState struct {
 
 	// one adapts a single probability map to the lane-major weight fill.
 	one [1]logic.Prob
-
-	// joinEnts stages a join node's right table sorted by bits, so the scalar
-	// and batch fallback paths merge matching runs instead of scanning all
-	// pairs.
-	joinEnts []joinEnt
-}
-
-// joinEnt is one right-table row staged for a bits-grouped join: the row key
-// plus either its scalar value (map path) or its batch row index.
-type joinEnt struct {
-	k rowKey
-	v rowVal
-	i int32
-}
-
-// sortJoinEnts orders staged join entries by their event-valuation bits so
-// equal-bits rows form contiguous runs.
-func sortJoinEnts(ents []joinEnt) {
-	slices.SortFunc(ents, func(a, b joinEnt) int {
-		switch {
-		case a.k.bits < b.k.bits:
-			return -1
-		case a.k.bits > b.k.bits:
-			return 1
-		default:
-			return 0
-		}
-	})
-}
-
-// joinRun locates the contiguous run of entries whose bits equal target.
-func joinRun(ents []joinEnt, target uint64) (lo, hi int) {
-	lo = sort.Search(len(ents), func(i int) bool { return ents[i].k.bits >= target })
-	hi = lo
-	for hi < len(ents) && ents[hi].k.bits == target {
-		hi++
-	}
-	return lo, hi
 }
 
 func (pl *Plan) getState() *evalState {
@@ -208,34 +159,20 @@ type rowKey struct {
 	bits uint64
 }
 
-// rowVal carries the probability mass of a row and, when lineage emission is
-// on, its gate.
-type rowVal struct {
-	prob float64
-	gate circuit.Gate
-}
-
-// Transition operations, the op field of setTransKey and stepKey.
+// Transition operations, the op of a transKey.
 const (
 	opIntroduce uint8 = iota
 	opForget
 	opFact
 )
 
-// setTransKey addresses a cached determinized set transition: the interned
-// state set plus the vertex (introduce/forget) or fact index (fact
-// application).
-type setTransKey struct {
-	op  uint8
-	arg int32
-	set int32
-}
-
-// stepKey addresses a cached single-state transition.
-type stepKey struct {
-	op    uint8
-	arg   int32
-	state int32
+// transKey packs a memoized transition's address into one word for the
+// integer map fast path: the operation, its operand (a vertex for
+// introduce/forget, a fact index for fact application; below 2^30, which no
+// instance that fits in memory reaches) and the state or set id it applies
+// to.
+func transKey(op uint8, arg int, x int32) uint64 {
+	return uint64(op)<<62 | uint64(arg)<<32 | uint64(uint32(x))
 }
 
 // stateInterner assigns dense int32 ids to automaton state strings.
@@ -260,14 +197,14 @@ func (si *stateInterner) id(s string) int32 {
 type setInterner struct {
 	ids     map[string]int32
 	members [][]int32
-	buf     []byte
-	idBuf   []int32
 }
 
 // Prepare compiles a query plan for the pc-instance structure c and the
 // query automaton q. Everything that does not depend on the event
-// probabilities is computed here; the returned plan answers repeated
-// probability requests via (*Plan).Probability or (*Plan).Result.
+// probabilities is computed here, ending in one structural pass that
+// determinizes the automaton over the decomposition and compiles the row
+// program; the returned plan answers repeated probability requests via
+// (*Plan).Probability or (*Plan).Result by running that program.
 //
 // Options are honoured as in EvaluatePC: a supplied joint decomposition is
 // validated and used, the heuristic picks the decomposition otherwise, and
@@ -307,11 +244,10 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 		root:        nice.Root,
 		states:      stateInterner{ids: map[string]int32{}},
 		sets:        setInterner{ids: map[string]int32{}},
-		setTrans:    map[setTransKey]int32{},
+		setTrans:    map[uint64]int32{},
 		joinCache:   map[uint64]int32{},
-		stepCache:   map[stepKey][]int32{},
-		pairCache:   map[uint64]int32{},
-		pruneCache:  map[int32]int32{},
+		stepCache:   map[uint64][]int32{},
+		pruneCache:  map[string]int32{},
 	}
 
 	// Home every fact at a nice node covering its args and events.
@@ -370,7 +306,6 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 		})
 	}
 
-	pl.startSet = pl.internStrings(detStep(q, q.Start(), func(s string) []string { return []string{s} }))
 	pl.nice = nice
 	pl.di = di
 	pl.eventIdx = make(map[logic.Event]int, len(events))
@@ -378,6 +313,9 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 		pl.eventIdx[e] = i
 	}
 	pl.rebuildTopology()
+	dp := newDetPass(pl)
+	pl.startSet = dp.internStrings(detStep(q, q.Start(), func(s string) []string { return []string{s} }))
+	pl.prog = dp.compileProgram()
 	return pl, nil
 }
 
@@ -443,9 +381,8 @@ func (pl *Plan) Shape() treedec.Stats { return pl.nice.Stats() }
 func (pl *Plan) Query() Query { return pl.q }
 
 // Probability evaluates the plan under the event probabilities p and
-// returns the exact query probability. Only the numeric dynamic program
-// runs; all structural work was done by Prepare. Safe for concurrent calls
-// once the plan is frozen (see Freeze).
+// returns the exact query probability: one run of the compiled row program.
+// Safe for concurrent calls once the plan is frozen (see Freeze).
 //
 //pdblint:frozenentry
 func (pl *Plan) Probability(p logic.Prob) (float64, error) {
@@ -470,69 +407,178 @@ func (pl *Plan) Result(p logic.Prob) (*Result, error) {
 	return pl.eval(p, pl.emitLineage)
 }
 
-// Freeze eagerly completes the plan's lazily-filled determinized-transition
-// caches and seals them, making the plan immutable and therefore safe for
-// concurrent Probability / ProbabilityBatch / Result calls from any number
-// of goroutines.
-//
-// The row keys of the dynamic program depend only on the compiled structure,
-// never on the event probabilities, so one structural pass visits every
-// transition any future evaluation can need; after Freeze the caches are
-// read-only. Freeze is idempotent but must itself be called from a single
-// goroutine, before the plan is shared.
+// Freeze seals the plan for concurrent Probability / ProbabilityBatch /
+// Result calls from any number of goroutines. Prepare already compiled
+// everything an evaluation reads, so sealing only forbids the one remaining
+// structural mutation (attaching facts, see CanAttach). Freeze is idempotent
+// but must itself be called from a single goroutine, before the plan is
+// shared.
 func (pl *Plan) Freeze() error {
-	if pl.frozen {
-		return nil
-	}
-	// A full evaluation under the default-0.5 weights touches exactly the
-	// introduce/forget/fact/join transitions reachable from the query.
-	if _, err := pl.eval(logic.Prob{}, false); err != nil {
-		return fmt.Errorf("core: freeze pass failed: %w", err)
-	}
-	// With the caches complete, compile the dense row program (every
-	// transition it replays is now a cache hit) and seal the plan.
-	pl.prog = pl.compileProgram()
+	pl.program() // an attach may have dropped the program
 	pl.frozen = true
 	return nil
 }
 
-// Frozen reports whether the plan's transition caches have been sealed for
-// concurrent use.
+// Frozen reports whether the plan has been sealed for concurrent use.
 func (pl *Plan) Frozen() bool { return pl.frozen }
 
-// --- interning and cached transitions ---
+// program returns the plan's row program, recompiling it when attachFact
+// dropped it. Only unfrozen plans, confined to one goroutine, can lack one.
+//
+//pdblint:mutates recompiles only after attachFact, which frozen plans refuse
+func (pl *Plan) program() *rowProgram {
+	if pl.prog == nil {
+		pl.prog = newDetPass(pl).compileProgram()
+	}
+	return pl.prog
+}
+
+// --- the structural pass ---
+
+// detPass is the scratch of one structural pass over a plan: the subset
+// construction of the determinized automaton and the row compiler share it,
+// and it is dropped when the pass ends, so the plan keeps nothing
+// pair-level. Prepare runs one pass over every node; a Materialized commit
+// that recompiles node programs runs its own.
+//
+// The plan's set-level memos are consulted first; below a memo miss the
+// pass runs on flat arrays: a mark array indexed by state id and an
+// open-addressing pair table.
+type detPass struct {
+	pl *Plan
+
+	// pairs memoizes the Join of state pairs for the whole pass.
+	pairs pairMemo
+
+	// mark[s] == gen when state s is already among the successors being
+	// collected (collect), so duplicate successors are dropped before the
+	// survivors are sorted.
+	mark []uint64
+	gen  uint64
+
+	ids    []int32            // successor collection buffer
+	keyBuf []byte             // set key image (sets.ids, pruneCache)
+	strs   []string           // state strings of a set being pruned
+	slot   map[rowKey]int32   // compileNodeProg's row index, reused across nodes
+	byBits map[uint64][]int32 // a join's right rows by bits, reused across joins
+
+	join   func(a, b string) (string, bool) // the query's Join, unmemoized when it can be
+	pruner bool                             // the query implements SetPruner
+}
+
+// pairMemo is a flat open-addressing hash table from a state pair to the
+// Join of the two states: linear probing over two parallel arrays, one
+// multiply and usually one probe per lookup. A state×state matrix would
+// index faster but grows with the square of the state count, which is
+// linear in the instance for CQ automata (states name domain elements);
+// this table grows with the pairs actually met.
+type pairMemo struct {
+	keys  []uint64 // pair key + 1; 0 marks an empty slot
+	vals  []int32  // merged state, -1 when the pair does not merge
+	n     int
+	shift uint8 // 64 - log2(len(keys))
+}
+
+// find returns the slot of key: where it is stored, or where it would be
+// inserted.
+func (pm *pairMemo) find(key uint64) (int, bool) {
+	if pm.keys == nil {
+		pm.keys, pm.vals, pm.shift = make([]uint64, 1024), make([]int32, 1024), 64-10
+	}
+	mask := len(pm.keys) - 1
+	for i := int(key * 0x9E3779B97F4A7C15 >> pm.shift); ; i = (i + 1) & mask {
+		switch pm.keys[i] {
+		case key:
+			return i, true
+		case 0:
+			return i, false
+		}
+	}
+}
+
+// insert stores key → v in the empty slot i that find returned, doubling the
+// table once it is half full.
+func (pm *pairMemo) insert(i int, key uint64, v int32) {
+	pm.keys[i], pm.vals[i] = key, v
+	if pm.n++; 2*pm.n <= len(pm.keys) {
+		return
+	}
+	keys, vals := pm.keys, pm.vals
+	pm.keys, pm.vals = make([]uint64, 2*len(keys)), make([]int32, 2*len(keys))
+	pm.shift--
+	for j, k := range keys {
+		if k != 0 {
+			s, _ := pm.find(k)
+			pm.keys[s], pm.vals[s] = k, vals[j]
+		}
+	}
+}
+
+func newDetPass(pl *Plan) *detPass {
+	dp := &detPass{pl: pl, slot: map[rowKey]int32{}, byBits: map[uint64][]int32{}, join: pl.q.Join}
+	if dj, ok := pl.q.(directJoiner); ok {
+		dp.join = dj.JoinDirect
+	}
+	_, dp.pruner = pl.q.(SetPruner)
+	return dp
+}
+
+// begin starts collecting a fresh successor list.
+func (dp *detPass) begin() {
+	dp.gen++
+	dp.ids = dp.ids[:0]
+}
+
+// collect adds state s to the successor list unless it is already there.
+func (dp *detPass) collect(s int32) {
+	if int(s) >= len(dp.mark) {
+		dp.mark = grow(dp.mark, max(int(s)+1, len(dp.pl.states.strs)))
+	}
+	if dp.mark[s] != dp.gen {
+		dp.mark[s] = dp.gen
+		dp.ids = append(dp.ids, s)
+	}
+}
 
 // internStrings interns a deduplicated state-string set (as produced by
 // detStep or a SetPruner) and returns its set id. Sets are canonicalized by
 // sorting their interned state ids, so any permutation of the same strings
 // interns to the same id.
 //
-//pdblint:mutates set interning is guarded: frozen plans never see a new set (missUnlessUnfrozen)
-func (pl *Plan) internStrings(states []string) int32 {
-	ids := pl.sets.idBuf[:0]
+//pdblint:mutates set interning runs only on memo misses, which frozen plans never take (missUnlessUnfrozen)
+func (dp *detPass) internStrings(states []string) int32 {
+	ids := dp.ids[:0]
 	for _, s := range states {
-		ids = append(ids, pl.states.id(s))
+		ids = append(ids, dp.pl.states.id(s))
 	}
-	pl.sets.idBuf = ids
+	dp.ids = ids
 	sortInt32(ids)
-	return pl.internIDs(ids)
+	return dp.internIDs(ids)
+}
+
+// setKey writes the little-endian byte image of a sorted state-id set into
+// the pass's key buffer: the key of sets.ids and pruneCache.
+func (dp *detPass) setKey(ids []int32) []byte {
+	buf := dp.keyBuf[:0]
+	for _, id := range ids {
+		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	}
+	dp.keyBuf = buf
+	return buf
 }
 
 // internIDs interns a sorted, deduplicated state-id set directly.
 //
-//pdblint:mutates set interning is guarded: frozen plans never see a new set (missUnlessUnfrozen)
-func (pl *Plan) internIDs(ids []int32) int32 {
-	buf := pl.sets.buf[:0]
-	for _, id := range ids {
-		buf = append(buf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-	}
-	pl.sets.buf = buf
-	if id, ok := pl.sets.ids[string(buf)]; ok {
+//pdblint:mutates set interning runs only on memo misses, which frozen plans never take (missUnlessUnfrozen)
+func (dp *detPass) internIDs(ids []int32) int32 {
+	pl := dp.pl
+	key := dp.setKey(ids)
+	if id, ok := pl.sets.ids[string(key)]; ok {
 		return id
 	}
 	id := int32(len(pl.sets.members))
 	pl.sets.members = append(pl.sets.members, append([]int32(nil), ids...))
-	pl.sets.ids[string(buf)] = id
+	pl.sets.ids[string(key)] = id
 	acc := false
 	for _, sid := range ids {
 		if pl.q.Accept(pl.states.strs[sid]) {
@@ -554,21 +600,32 @@ func (pl *Plan) setStrings(set int32, buf []string) []string {
 	return out
 }
 
-// pruned applies the query's SetPruner (if any) to an interned set, caching
-// the result so each distinct set is pruned at most once.
+// internCollected interns the collected successor list as a set: the
+// survivors of the mark dedup are sorted into canonical order, pruned by the
+// query's SetPruner (if any), and interned. Unpruned sets are never interned:
+// the prune memo is keyed by their byte image, and each distinct one is
+// pruned at most once.
 //
-//pdblint:mutates cache fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
-func (pl *Plan) pruned(raw int32) int32 {
-	if _, isPruner := pl.q.(SetPruner); !isPruner {
-		return raw
+//pdblint:mutates memo fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
+func (dp *detPass) internCollected() int32 {
+	ids := dp.ids
+	sortInt32(ids)
+	if !dp.pruner {
+		return dp.internIDs(ids)
 	}
-	if r, ok := pl.pruneCache[raw]; ok {
+	pl := dp.pl
+	key := dp.setKey(ids)
+	if r, ok := pl.pruneCache[string(key)]; ok {
 		return r
 	}
 	pl.missUnlessUnfrozen()
-	pl.strBuf = pl.setStrings(raw, pl.strBuf)
-	r := pl.internStrings(prune(pl.q, pl.strBuf))
-	pl.pruneCache[raw] = r
+	rawKey := string(key)
+	dp.strs = dp.strs[:0]
+	for _, id := range ids {
+		dp.strs = append(dp.strs, pl.states.strs[id])
+	}
+	r := dp.internStrings(prune(pl.q, dp.strs))
+	pl.pruneCache[rawKey] = r
 	return r
 }
 
@@ -576,9 +633,10 @@ func (pl *Plan) pruned(raw int32) int32 {
 // given operation, computing them from the string-level Query interface on
 // first use only. Fact steps include the implicit identity transition.
 //
-//pdblint:mutates cache fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
-func (pl *Plan) stepStates(op uint8, arg int, state int32) []int32 {
-	k := stepKey{op: op, arg: int32(arg), state: state}
+//pdblint:mutates memo fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
+func (dp *detPass) stepStates(op uint8, arg int, state int32) []int32 {
+	pl := dp.pl
+	k := transKey(op, arg, state)
 	if succs, ok := pl.stepCache[k]; ok {
 		return succs
 	}
@@ -602,188 +660,111 @@ func (pl *Plan) stepStates(op uint8, arg int, state int32) []int32 {
 }
 
 // stepSet is the subset construction over interned sets: the successor of a
-// set is the pruned union of its members' successors. Results are cached per
-// (operation, operand, set).
+// set is the pruned union of its members' successors. Results are memoized
+// per (operation, operand, set).
 //
-//pdblint:mutates cache fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
-func (pl *Plan) stepSet(op uint8, arg int, set int32) int32 {
-	k := setTransKey{op: op, arg: int32(arg), set: set}
+//pdblint:mutates memo fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
+func (dp *detPass) stepSet(op uint8, arg int, set int32) int32 {
+	pl := dp.pl
+	k := transKey(op, arg, set)
 	if r, ok := pl.setTrans[k]; ok {
 		return r
 	}
 	pl.missUnlessUnfrozen()
-	ids := pl.idBuf[:0]
+	dp.begin()
 	for _, sid := range pl.sets.members[set] {
-		ids = append(ids, pl.stepStates(op, arg, sid)...)
+		for _, s := range dp.stepStates(op, arg, sid) {
+			dp.collect(s)
+		}
 	}
-	pl.idBuf = ids
-	r := pl.pruned(pl.internIDs(sortDedupInt32(ids)))
+	r := dp.internCollected()
 	pl.setTrans[k] = r
 	return r
 }
 
-func (pl *Plan) introduceSet(set int32, v int) int32 { return pl.stepSet(opIntroduce, v, set) }
-func (pl *Plan) forgetSet(set int32, v int) int32    { return pl.stepSet(opForget, v, set) }
-func (pl *Plan) factSet(set int32, fi int) int32     { return pl.stepSet(opFact, fi, set) }
-
 // directJoiner is an optional Query extension: a Join entry point without
-// internal memoization, for engines (like Plan) that already cache join
+// internal memoization, for engines (like Plan) that already memoize join
 // results per state pair and would only churn the query's own memo.
 type directJoiner interface {
 	JoinDirect(a, b string) (merged string, ok bool)
 }
 
 // joinSets merges two interned sets across a join node: every pair of
-// member states is merged through the query's Join, with a per-pair cache
-// so each state pair is merged through the string interface at most once.
+// member states is merged through the query's Join, behind the pass's pair
+// table, so each state pair reaches the string interface at most once per
+// pass. Results are memoized per set pair.
 //
-//pdblint:mutates cache fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
-func (pl *Plan) joinSets(a, b int32) int32 {
+//pdblint:mutates memo fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
+func (dp *detPass) joinSets(a, b int32) int32 {
+	pl := dp.pl
 	k := uint64(uint32(a))<<32 | uint64(uint32(b))
 	if r, ok := pl.joinCache[k]; ok {
 		return r
 	}
 	pl.missUnlessUnfrozen()
-	join := pl.q.Join
-	if dj, ok := pl.q.(directJoiner); ok {
-		join = dj.JoinDirect
-	}
-	ids := pl.idBuf[:0]
+	dp.begin()
 	for _, ia := range pl.sets.members[a] {
 		for _, ib := range pl.sets.members[b] {
-			pk := uint64(uint32(ia))<<32 | uint64(uint32(ib))
-			m, ok := pl.pairCache[pk]
+			pk := uint64(uint32(ia))<<32 | uint64(uint32(ib)) + 1
+			i, ok := dp.pairs.find(pk)
+			m := dp.pairs.vals[i]
 			if !ok {
-				if merged, okJoin := join(pl.states.strs[ia], pl.states.strs[ib]); okJoin {
+				m = -1
+				if merged, okJoin := dp.join(pl.states.strs[ia], pl.states.strs[ib]); okJoin {
 					m = pl.states.id(merged)
-				} else {
-					m = -1
 				}
-				pl.pairCache[pk] = m
+				dp.pairs.insert(i, pk, m)
 			}
 			if m >= 0 {
-				ids = append(ids, m)
+				dp.collect(m)
 			}
 		}
 	}
-	pl.idBuf = ids
-	r := pl.pruned(pl.internIDs(sortDedupInt32(ids)))
+	r := dp.internCollected()
 	pl.joinCache[k] = r
 	return r
 }
 
-// missUnlessUnfrozen asserts that a transition-cache miss is legal: misses
-// cannot occur on a frozen plan (the freeze pass visited every reachable
-// transition), so hitting one means the plan was mutated or an internal
-// invariant broke — panic rather than race on the sealed caches.
+// missUnlessUnfrozen asserts that a memo miss is legal: misses cannot occur
+// on a frozen plan (Prepare's pass visited every reachable transition), so
+// hitting one means the plan was mutated or an internal invariant broke —
+// panic rather than race on the sealed memos.
 func (pl *Plan) missUnlessUnfrozen() {
 	if pl.frozen {
-		panic("core: transition cache miss on a frozen Plan (internal invariant violated)")
+		panic("core: transition memo miss on a frozen Plan (internal invariant violated)")
 	}
-}
-
-// --- table management ---
-
-func (st *evalState) allocTable(hint int) map[rowKey]rowVal {
-	if n := len(st.freeTabs); n > 0 {
-		tab := st.freeTabs[n-1]
-		st.freeTabs = st.freeTabs[:n-1]
-		clear(tab)
-		return tab
-	}
-	return make(map[rowKey]rowVal, hint)
-}
-
-func (st *evalState) releaseTable(tab map[rowKey]rowVal) {
-	st.freeTabs = append(st.freeTabs, tab)
-}
-
-// put merges a row into tab: equal keys sum their mass (a deterministic OR
-// on the emitted lineage).
-func put(tab map[rowKey]rowVal, k rowKey, v rowVal, emit *circuit.Circuit) {
-	if prev, ok := tab[k]; ok {
-		prev.prob += v.prob
-		if emit != nil {
-			prev.gate = emit.Or(prev.gate, v.gate)
-		}
-		tab[k] = prev
-		return
-	}
-	tab[k] = v
 }
 
 // --- evaluation ---
 
-// runDP executes the numeric dynamic program bottom-up under the event
-// probabilities p and returns the root table, whose ownership passes to the
-// caller (release it back into st). It is the shared core of eval (which
-// summarizes acceptance) and rootVec (which hands per-row probabilities to
-// the cross-shard combiner of ShardedPlan).
-func (pl *Plan) runDP(st *evalState, p logic.Prob, emit *circuit.Circuit) map[rowKey]rowVal {
-	// Per-event Bernoulli weights, resolved once per evaluation.
+// runProgram runs the row program once (one lane) under the event
+// probabilities p and returns the root block, taken from st's arena.
+func (pl *Plan) runProgram(st *evalState, prog *rowProgram, p logic.Prob) []float64 {
 	st.one[0] = p
 	pe := pl.fillLaneWeights(st, st.one[:])
 	st.one[0] = nil
-
-	if len(st.tables) < len(pl.nodes) {
-		st.tables = make([]map[rowKey]rowVal, len(pl.nodes))
-	}
-	tables := st.tables
-
-	for _, t := range pl.post {
-		tables[t] = pl.computeNode(st, tables, pe, t, emit, true)
-	}
-	root := tables[pl.root]
-	tables[pl.root] = nil
-	return root
-}
-
-// rootKeys discovers the root table's row keys with one structural pass: the
-// keys depend only on the compiled structure, never on the probabilities, so
-// any one evaluation visits them all. Root bags are empty, so every key is a
-// bare state-set id; the ids are returned sorted.
-func (pl *Plan) rootKeys() []int32 {
-	st := pl.getState()
-	defer pl.putState(st)
-	root := pl.runDP(st, logic.Prob{}, nil)
-	keys := make([]int32, 0, len(root))
-	for k := range root {
-		keys = append(keys, k.set)
-	}
-	st.releaseTable(root)
-	sortInt32(keys)
-	return keys
+	return pl.runBatchProg(st, prog, pe, 1)
 }
 
 // rootVec evaluates the plan under p and extracts the root-table probability
-// of every key in keys (as discovered by rootKeys) into out. Safe for
-// concurrent calls once the plan is frozen, like Probability.
+// of every state set in keys into out (0 for a set with no root row). Safe
+// for concurrent calls once the plan is frozen, like Probability.
 func (pl *Plan) rootVec(p logic.Prob, keys []int32, out []float64) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
+	prog := pl.program()
 	st := pl.getState()
 	defer pl.putState(st)
-	if pl.prog != nil {
-		st.one[0] = p
-		pe := pl.fillLaneWeights(st, st.one[:])
-		st.one[0] = nil
-		root := pl.runBatchProg(st, pe, 1)
-		for i, set := range keys {
-			if r, ok := pl.prog.rootRow[set]; ok {
-				out[i] = root[r]
-			} else {
-				out[i] = 0
-			}
-		}
-		st.arena.Put(root)
-		return nil
-	}
-	root := pl.runDP(st, p, nil)
+	root := pl.runProgram(st, prog, p)
 	for i, set := range keys {
-		out[i] = root[rowKey{set: set}].prob
+		if r, ok := prog.rootRow[set]; ok {
+			out[i] = root[r]
+		} else {
+			out[i] = 0
+		}
 	}
-	st.releaseTable(root)
+	st.arena.Put(root)
 	return nil
 }
 
@@ -791,49 +772,24 @@ func (pl *Plan) eval(p logic.Prob, emitLineage bool) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var emit *circuit.Circuit
-	if emitLineage {
-		emit = circuit.New()
-	}
-
+	prog := pl.program()
 	st := pl.getState()
 	defer pl.putState(st)
 
 	res := &Result{Width: pl.width, NiceNodes: len(pl.nodes)}
-	var acceptGates []circuit.Gate
-	if emit == nil && pl.prog != nil {
-		// Frozen non-lineage path: run the compiled row program at one lane.
-		st.one[0] = p
-		pe := pl.fillLaneWeights(st, st.one[:])
-		st.one[0] = nil
-		root := pl.runBatchProg(st, pe, 1)
-		for i, set := range pl.prog.rootSets {
-			res.TotalMass += root[i]
-			if pl.accept[set] {
-				res.Probability += root[i]
-			}
+	root := pl.runProgram(st, prog, p)
+	for i, set := range prog.rootSets {
+		res.TotalMass += root[i]
+		if pl.accept[set] {
+			res.Probability += root[i]
 		}
-		st.arena.Put(root)
-	} else {
-		root := pl.runDP(st, p, emit)
-		for k, v := range root {
-			res.TotalMass += v.prob
-			if pl.accept[k.set] {
-				res.Probability += v.prob
-				if emit != nil {
-					acceptGates = append(acceptGates, v.gate)
-				}
-			}
-		}
-		st.releaseTable(root)
 	}
+	st.arena.Put(root)
 	if massDrifted(res.TotalMass) {
 		return nil, errMassDrift(res.TotalMass)
 	}
-	if emit != nil {
-		sortGates(acceptGates)
-		res.Lineage = emit
-		res.Root = emit.Or(acceptGates...)
+	if emitLineage {
+		res.Lineage, res.Root = pl.lineage(prog)
 	}
 	// Clamp floating noise.
 	if res.Probability < 0 {
@@ -843,118 +799,6 @@ func (pl *Plan) eval(p logic.Prob, emitLineage bool) (*Result, error) {
 		res.Probability = 1
 	}
 	return res, nil
-}
-
-// computeNode builds the row table of nice node t from the tables of its
-// children under the per-event weights pe. The facts homed at t are fused
-// into the row keys as they are produced — a fact's annotation reads only a
-// row's bits, which no fact changes, so the whole fact chain composes into
-// one set remap per row (factRemap) and no staging tables are needed. With
-// consumeChildren (the one-shot eval path) the child tables are released
-// into st's free list — and cleared from tables — as soon as the switch has
-// read them. The returned table is allocated from st's free list and owned
-// by the caller.
-func (pl *Plan) computeNode(st *evalState, tables []map[rowKey]rowVal, pe []float64, t int, emit *circuit.Circuit, consumeChildren bool) map[rowKey]rowVal {
-	nd := &pl.nodes[t]
-	release := func(child int) {
-		if consumeChildren {
-			st.releaseTable(tables[child])
-			tables[child] = nil
-		}
-	}
-	var tab map[rowKey]rowVal
-	switch nd.kind {
-	case treedec.NiceLeaf:
-		tab = st.allocTable(1)
-		v := rowVal{prob: 1}
-		if emit != nil {
-			v.gate = emit.Const(true)
-		}
-		tab[pl.factRemap(nd, rowKey{set: pl.startSet})] = v
-
-	case treedec.NiceIntroduce:
-		child := tables[nd.child0]
-		tab = st.allocTable(2 * len(child))
-		if nd.isEvent {
-			// Split every row on the value of the new event; the
-			// Bernoulli weight is applied at the event's forget node.
-			pos := nd.pos
-			for k, v := range child {
-				put(tab, pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, false)}), v, emit)
-				put(tab, pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, true)}), v, emit)
-			}
-		} else {
-			for k, v := range child {
-				put(tab, pl.factRemap(nd, rowKey{set: pl.introduceSet(k.set, nd.vertex), bits: k.bits}), v, emit)
-			}
-		}
-		release(nd.child0)
-
-	case treedec.NiceForget:
-		child := tables[nd.child0]
-		tab = st.allocTable(len(child))
-		if nd.isEvent {
-			// Apply the event's Bernoulli weight according to the row's
-			// recorded value, conjoin the literal onto the lineage, and
-			// marginalize the bit out of the key.
-			pos := nd.pos
-			w1 := pe[nd.eventIdx]
-			w0 := 1 - w1
-			var lit0, lit1 circuit.Gate
-			if emit != nil {
-				lit1 = emit.Var(pl.events[nd.eventIdx])
-				lit0 = emit.Not(lit1)
-			}
-			for k, v := range child {
-				nv := rowVal{prob: v.prob}
-				if k.bits&(1<<uint(pos)) != 0 {
-					nv.prob *= w1
-					if emit != nil {
-						nv.gate = emit.And(v.gate, lit1)
-					}
-				} else {
-					nv.prob *= w0
-					if emit != nil {
-						nv.gate = emit.And(v.gate, lit0)
-					}
-				}
-				put(tab, pl.factRemap(nd, rowKey{set: k.set, bits: removeBit(k.bits, pos)}), nv, emit)
-			}
-		} else {
-			for k, v := range child {
-				put(tab, pl.factRemap(nd, rowKey{set: pl.forgetSet(k.set, nd.vertex), bits: k.bits}), v, emit)
-			}
-		}
-		release(nd.child0)
-
-	case treedec.NiceJoin:
-		left := tables[nd.child0]
-		right := tables[nd.child1]
-		tab = st.allocTable(len(left))
-		// In-bag events are shared between the children, so only rows with
-		// equal bits combine: stage the right table sorted by bits, then
-		// each left row multiplies against its matching run — a linear merge
-		// instead of the quadratic all-pairs scan with a mismatch skip.
-		ents := st.joinEnts[:0]
-		for rk, rv := range right {
-			ents = append(ents, joinEnt{k: rk, v: rv})
-		}
-		sortJoinEnts(ents)
-		st.joinEnts = ents
-		for lk, lv := range left {
-			lo, hi := joinRun(ents, lk.bits)
-			for _, re := range ents[lo:hi] {
-				nv := rowVal{prob: lv.prob * re.v.prob}
-				if emit != nil {
-					nv.gate = emit.And(lv.gate, re.v.gate)
-				}
-				put(tab, pl.factRemap(nd, rowKey{set: pl.joinSets(lk.set, re.k.set), bits: lk.bits}), nv, emit)
-			}
-		}
-		release(nd.child0)
-		release(nd.child1)
-	}
-	return tab
 }
 
 // --- bit and position helpers ---
@@ -1058,9 +902,11 @@ func (pl *Plan) CanAttach(f rel.Fact) bool {
 // Because the event pair is local, every other node's bag, bit layout and
 // table are untouched; only the spliced nodes and their root path need
 // recomputation (the caller — Materialized.StageAttach — marks them dirty).
+// The plan-level row program is dropped; the next plan evaluation
+// recompiles it.
 //
 // The plan's query must already cover fact fi (see FactExtender). Attaching
-// to a frozen plan is an error: it would grow the sealed transition caches.
+// to a frozen plan is an error: it would grow the sealed transition memos.
 func (pl *Plan) attachFact(f rel.Fact, fi int, e logic.Event) (intro, forget int, err error) {
 	if pl.frozen {
 		return 0, 0, fmt.Errorf("core: cannot attach a fact to a frozen plan")
@@ -1122,6 +968,7 @@ func (pl *Plan) attachFact(f rel.Fact, fi int, e logic.Event) (intro, forget int
 	}
 	pl.post = pl.nice.PostOrder()
 	pl.rebuildTopology()
+	pl.prog = nil
 	pl.structGen++
 	return intro, forget, nil
 }

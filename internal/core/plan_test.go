@@ -246,3 +246,31 @@ func TestPlanReachQuery(t *testing.T) {
 		t.Errorf("P = %v, want %v", got, exact)
 	}
 }
+
+// TestPairMemoGrows fills the structural pass's pair table well past several
+// doublings and checks every pair still maps to its own value, including
+// pairs whose packed keys collide in their low bits.
+func TestPairMemoGrows(t *testing.T) {
+	var pm pairMemo
+	key := func(a, b int) uint64 { return uint64(a)<<32 | uint64(b) + 1 }
+	for a := 0; a < 100; a++ {
+		for b := 0; b < 50; b++ {
+			i, ok := pm.find(key(a, b))
+			if ok {
+				t.Fatalf("pair (%d,%d) found before insertion", a, b)
+			}
+			pm.insert(i, key(a, b), int32(a*50+b)-1)
+		}
+	}
+	for a := 0; a < 100; a++ {
+		for b := 0; b < 50; b++ {
+			i, ok := pm.find(key(a, b))
+			if !ok || pm.vals[i] != int32(a*50+b)-1 {
+				t.Fatalf("pair (%d,%d): found=%v value %d", a, b, ok, pm.vals[i])
+			}
+		}
+	}
+	if _, ok := pm.find(key(100, 0)); ok {
+		t.Fatal("found a pair that was never inserted")
+	}
+}

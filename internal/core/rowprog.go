@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/circuit"
 	"repro/internal/core/kernel"
 	"repro/internal/logic"
 	"repro/internal/treedec"
@@ -11,9 +12,8 @@ import (
 // This file compiles the dynamic program's row structure into dense row
 // programs. The row keys of every node table — and therefore the complete
 // src→dst wiring of the bottom-up sweep — depend only on the compiled plan,
-// never on the event probabilities (the same invariant Freeze relies on to
-// seal the transition caches). A row program exploits that invariant to the
-// end: each node's table becomes a contiguous block of lane vectors in a
+// never on the event probabilities. A row program exploits that invariant to
+// the end: each node's table becomes a contiguous block of lane vectors in a
 // fixed row layout, and the node's work becomes a precompiled edge list
 // driven through the kernel primitives (internal/core/kernel). Evaluation
 // then runs with no map lookups, no interning and no key hashing at all —
@@ -24,12 +24,13 @@ import (
 // fact changes), so the compiler composes all fact transitions into the
 // node's dst indices and every row is touched exactly once per node.
 //
-// Two consumers share the compiler:
+// The compiler runs inside a structural pass (detPass, plan.go), which
+// determinizes each transition as it wires it. Two consumers share it:
 //
-//   - (*Plan).Freeze compiles the whole plan (compileProgram); frozen-plan
-//     evaluations — Probability, ProbabilityBatch, rootVec — run the program
-//     instead of the map DP.
-//   - core.Materialized compiles per node, lazily, against its persisted
+//   - Prepare compiles the whole plan (compileProgram) and fuses its unary
+//     chains; every plan evaluation — Probability, Result (whose lineage is a
+//     walk over the same program), ProbabilityBatch, rootVec — runs it.
+//   - core.Materialized compiles per node, unfused, against its persisted
 //     dense tables (compileNodeProg), so live-view spine recomputation runs
 //     the same kernels; a structure splice (StageAttach) just drops the
 //     affected nodes' programs for recompilation during the next commit.
@@ -73,7 +74,7 @@ type nodeProg struct {
 }
 
 // rowProgram is the whole-plan compile: one nodeProg per nice node plus the
-// root layout, attached to a Plan by Freeze.
+// root layout, attached to a Plan by Prepare.
 type rowProgram struct {
 	nodes    []*nodeProg
 	rootSets []int32         // interned set id of each root row, in row order
@@ -83,11 +84,11 @@ type rowProgram struct {
 // factRemap composes the transitions of the facts homed at nd onto row key
 // k: each annotation is a compiled mask over k.bits (which no fact changes),
 // so the whole fact chain folds into one set remap per row.
-func (pl *Plan) factRemap(nd *planNode, k rowKey) rowKey {
+func (dp *detPass) factRemap(nd *planNode, k rowKey) rowKey {
 	for i := range nd.facts {
 		pf := &nd.facts[i]
 		if pf.cf.Eval(k.bits) {
-			k.set = pl.factSet(k.set, pf.fi)
+			k.set = dp.stepSet(opFact, pf.fi, k.set)
 		}
 	}
 	return k
@@ -98,14 +99,17 @@ func (pl *Plan) factRemap(nd *planNode, k rowKey) rowKey {
 // and returns t's own layout alongside the program. Rows are laid out in
 // first-encounter order over the deterministic child-layout iteration, so
 // recompiling a node whose children kept their layouts reproduces the same
-// layout. Transition-cache misses fill the caches as usual; on a frozen
-// plan every lookup hits (Freeze's structural pass visited them all).
-func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg) {
+// layout. Memo misses determinize the transition on the spot; on a frozen
+// plan every lookup hits (Prepare's pass visited them all).
+func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg) {
+	pl := dp.pl
 	nd := &pl.nodes[t]
 	np := &nodeProg{eventIdx: -1, in0: int32(nd.child0), in1: int32(nd.child1)}
 	var keys []rowKey
-	idx := make(map[rowKey]int32)
+	idx := dp.slot
+	clear(idx)
 	slot := func(k rowKey) int32 {
+		k = dp.factRemap(nd, k)
 		if i, ok := idx[k]; ok {
 			return i
 		}
@@ -118,22 +122,26 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg)
 	switch nd.kind {
 	case treedec.NiceLeaf:
 		np.kind = pkLeaf
-		slot(pl.factRemap(nd, rowKey{set: pl.startSet}))
+		slot(rowKey{set: pl.startSet})
 
 	case treedec.NiceIntroduce:
 		np.kind = pkUnary
 		child := layouts[nd.child0]
 		if nd.isEvent {
 			pos := nd.pos
+			np.edges = make([]rpEdge, 0, 2*len(child))
+			keys = make([]rowKey, 0, 2*len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, false)}))},
-					rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, true)}))})
+					rpEdge{src: int32(si), dst: slot(rowKey{set: k.set, bits: insertBit(k.bits, pos, false)})},
+					rpEdge{src: int32(si), dst: slot(rowKey{set: k.set, bits: insertBit(k.bits, pos, true)})})
 			}
 		} else {
+			np.edges = make([]rpEdge, 0, len(child))
+			keys = make([]rowKey, 0, len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: pl.introduceSet(k.set, nd.vertex), bits: k.bits}))})
+					rpEdge{src: int32(si), dst: slot(rowKey{set: dp.stepSet(opIntroduce, nd.vertex, k.set), bits: k.bits})})
 			}
 		}
 
@@ -143,8 +151,9 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg)
 			np.kind = pkForgetEvent
 			np.eventIdx = nd.eventIdx
 			pos := nd.pos
+			keys = make([]rowKey, 0, len(child)/2+1)
 			for si, k := range child {
-				e := rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: k.set, bits: removeBit(k.bits, pos)}))}
+				e := rpEdge{src: int32(si), dst: slot(rowKey{set: k.set, bits: removeBit(k.bits, pos)})}
 				if k.bits&(1<<uint(pos)) != 0 {
 					np.e1 = append(np.e1, e)
 				} else {
@@ -153,9 +162,10 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg)
 			}
 		} else {
 			np.kind = pkUnary
+			np.edges = make([]rpEdge, 0, len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: slot(pl.factRemap(nd, rowKey{set: pl.forgetSet(k.set, nd.vertex), bits: k.bits}))})
+					rpEdge{src: int32(si), dst: slot(rowKey{set: dp.stepSet(opForget, nd.vertex, k.set), bits: k.bits})})
 			}
 		}
 
@@ -166,7 +176,8 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg)
 		// equal bits combine: index the right layout by bits once, then each
 		// left row joins against its (usually tiny) matching run — a linear
 		// merge instead of the quadratic all-pairs scan.
-		byBits := make(map[uint64][]int32, len(right))
+		byBits := dp.byBits
+		clear(byBits)
 		for ri, k := range right {
 			byBits[k.bits] = append(byBits[k.bits], int32(ri))
 		}
@@ -174,7 +185,7 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg)
 			for _, ri := range byBits[lk.bits] {
 				np.joins = append(np.joins, rpJoin{
 					l: int32(li), r: ri,
-					dst: slot(pl.factRemap(nd, rowKey{set: pl.joinSets(lk.set, right[ri].set), bits: lk.bits})),
+					dst: slot(rowKey{set: dp.joinSets(lk.set, right[ri].set), bits: lk.bits}),
 				})
 			}
 		}
@@ -184,14 +195,20 @@ func (pl *Plan) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg)
 }
 
 // compileProgram compiles every node of the plan in one structural pass and
-// fuses away the plain-unary copy chains. Called by Freeze, after the freeze
-// evaluation has completed the transition caches and before the plan is
-// marked frozen.
-func (pl *Plan) compileProgram() *rowProgram {
+// fuses away the plain-unary copy chains.
+func (dp *detPass) compileProgram() *rowProgram {
+	pl := dp.pl
 	layouts := make([][]rowKey, len(pl.nodes))
 	prog := &rowProgram{nodes: make([]*nodeProg, len(pl.nodes))}
 	for _, t := range pl.post {
-		layouts[t], prog.nodes[t] = pl.compileNodeProg(t, layouts)
+		layouts[t], prog.nodes[t] = dp.compileNodeProg(t, layouts)
+		// This node is the only consumer of its children's layouts.
+		if nd := &pl.nodes[t]; nd.child0 >= 0 {
+			layouts[nd.child0] = nil
+			if nd.child1 >= 0 {
+				layouts[nd.child1] = nil
+			}
+		}
 	}
 	prog.fuseUnaryChains(pl.post, pl.root)
 	rootKeys := layouts[pl.root]
@@ -243,22 +260,24 @@ func (rp *rowProgram) fuseInput(np *nodeProg, in *int32, isLeft bool) {
 		if child.kind != pkUnary || child.dead {
 			return
 		}
-		// Invert the child's edges: inv[dst] = the child-input rows feeding it.
-		inv := make([][]int32, child.rows)
-		for _, e := range child.edges {
-			inv[e.dst] = append(inv[e.dst], e.src)
-		}
+		// Invert the child's edges: the child-input rows feeding child row d
+		// are invSrc[invStart[d]:invStart[d+1]].
+		invSrc := make([]int32, len(child.edges))
+		invStart := csr32(child.rows, len(child.edges),
+			func(i int) int32 { return child.edges[i].dst },
+			func(i, s int) { invSrc[s] = child.edges[i].src })
+		inv := func(d int32) []int32 { return invSrc[invStart[d]:invStart[d+1]] }
 		project := func(edges []rpEdge) (int, bool) {
 			n := 0
 			for _, e := range edges {
-				n += len(inv[e.src])
+				n += len(inv(e.src))
 			}
 			return n, n <= 2*len(edges)+16
 		}
 		substEdges := func(edges []rpEdge) []rpEdge {
 			out := make([]rpEdge, 0, len(edges))
 			for _, e := range edges {
-				for _, cs := range inv[e.src] {
+				for _, cs := range inv(e.src) {
 					out = append(out, rpEdge{src: cs, dst: e.dst})
 				}
 			}
@@ -282,9 +301,9 @@ func (rp *rowProgram) fuseInput(np *nodeProg, in *int32, isLeft bool) {
 			n := 0
 			for _, j := range np.joins {
 				if isLeft {
-					n += len(inv[j.l])
+					n += len(inv(j.l))
 				} else {
-					n += len(inv[j.r])
+					n += len(inv(j.r))
 				}
 			}
 			if n > 2*len(np.joins)+16 {
@@ -293,11 +312,11 @@ func (rp *rowProgram) fuseInput(np *nodeProg, in *int32, isLeft bool) {
 			out := make([]rpJoin, 0, len(np.joins))
 			for _, j := range np.joins {
 				if isLeft {
-					for _, cs := range inv[j.l] {
+					for _, cs := range inv(j.l) {
 						out = append(out, rpJoin{l: cs, r: j.r, dst: j.dst})
 					}
 				} else {
-					for _, cs := range inv[j.r] {
+					for _, cs := range inv(j.r) {
 						out = append(out, rpJoin{l: j.l, r: cs, dst: j.dst})
 					}
 				}
@@ -366,7 +385,7 @@ func runNodeProg1(np *nodeProg, dst, c0, c1 []float64, w float64) {
 	}
 }
 
-// runBatchProg executes the compiled row program bottom-up under the
+// runBatchProg executes the row program prog bottom-up under the
 // lane-major weight matrix pe and returns the root block (rows × B,
 // lane-major), whose ownership passes to the caller (Put it back into st's
 // arena). Blocks are recycled through the arena as soon as each parent has
@@ -374,13 +393,13 @@ func runNodeProg1(np *nodeProg, dst, c0, c1 []float64, w float64) {
 // steady-state calls through a pooled state allocate nothing.
 //
 //pdblint:hotpath
-func (pl *Plan) runBatchProg(st *evalState, pe []float64, B int) []float64 {
+func (pl *Plan) runBatchProg(st *evalState, prog *rowProgram, pe []float64, B int) []float64 {
 	if len(st.blocks) < len(pl.nodes) {
 		st.blocks = make([][]float64, len(pl.nodes))
 	}
 	blocks := st.blocks
 	for _, t := range pl.post {
-		np := pl.prog.nodes[t]
+		np := prog.nodes[t]
 		if np.dead {
 			continue // folded into its consumer by fuseUnaryChains
 		}
@@ -410,6 +429,78 @@ func (pl *Plan) runBatchProg(st *evalState, pe []float64, B int) []float64 {
 	root := blocks[pl.root]
 	blocks[pl.root] = nil
 	return root
+}
+
+// lineage builds the plan's d-DNNF lineage by walking the row program: one
+// gate per row, each row the OR over its incoming edges of the AND of the
+// source row's gate with the edge's event literal (forget-event edges) or
+// with the other join operand's gate (join edges). Leaves are true, and the
+// root is the OR of the accepting root rows.
+//
+// Determinism holds because the automaton is determinized: a row's gate
+// holds on exactly the valuations of the events forgotten below it that
+// drive the run into that row, and the rows of one table partition them.
+// So the disjuncts of one row either come from distinct rows of one table
+// or differ in the literal a forget-event edge conjoins. Decomposability
+// holds because a gate mentions only events forgotten in its own subtree: a
+// forget edge conjoins the event being forgotten there, a join edge
+// combines disjoint subtrees. Fused unary chains are 0/1 maps that never
+// drop an event bit, so they keep both properties.
+func (pl *Plan) lineage(prog *rowProgram) (*circuit.Circuit, circuit.Gate) {
+	c := circuit.New()
+	gates := make([][]circuit.Gate, len(prog.nodes))
+	var ors [][]circuit.Gate
+	for _, t := range pl.post {
+		np := prog.nodes[t]
+		if np.dead {
+			continue
+		}
+		var g0, g1 []circuit.Gate
+		if np.in0 >= 0 {
+			g0, gates[np.in0] = gates[np.in0], nil
+		}
+		if np.in1 >= 0 {
+			g1, gates[np.in1] = gates[np.in1], nil
+		}
+		ors = grow(ors, np.rows)
+		for r := range np.rows {
+			ors[r] = ors[r][:0]
+		}
+		switch np.kind {
+		case pkLeaf:
+			ors[0] = append(ors[0], c.Const(true))
+		case pkUnary:
+			for _, e := range np.edges {
+				ors[e.dst] = append(ors[e.dst], g0[e.src])
+			}
+		case pkForgetEvent:
+			lit1 := c.Var(pl.events[np.eventIdx])
+			lit0 := c.Not(lit1)
+			for _, e := range np.e1 {
+				ors[e.dst] = append(ors[e.dst], c.And(g0[e.src], lit1))
+			}
+			for _, e := range np.e0 {
+				ors[e.dst] = append(ors[e.dst], c.And(g0[e.src], lit0))
+			}
+		case pkJoin:
+			for _, j := range np.joins {
+				ors[j.dst] = append(ors[j.dst], c.And(g0[j.l], g1[j.r]))
+			}
+		}
+		out := make([]circuit.Gate, np.rows)
+		for r := range out {
+			out[r] = c.Or(ors[r]...)
+		}
+		gates[t] = out
+	}
+	var accept []circuit.Gate
+	for i, set := range prog.rootSets {
+		if pl.accept[set] {
+			accept = append(accept, gates[pl.root][i])
+		}
+	}
+	sortGates(accept)
+	return c, c.Or(accept...)
 }
 
 // fillLaneWeights writes the lane-major Bernoulli weight matrix of ps into

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core/kernel"
@@ -30,10 +31,11 @@ import (
 // so it is compiled once at Prepare time and evaluations run it as pure
 // float arithmetic.
 //
-// Probability, ProbabilityBatch, Result and Freeze mirror *Plan: an unfrozen
-// ShardedPlan must be confined to one goroutine; after Freeze any number of
-// goroutines may evaluate concurrently, and each call fans its shards over a
-// worker pool.
+// Probability, ProbabilityBatch, Result and Freeze mirror *Plan: every
+// shard's row program is compiled by Prepare, an unfrozen ShardedPlan
+// evaluates its shards serially, and after Freeze any number of goroutines
+// may evaluate concurrently, each call fanning its shards over a worker
+// pool.
 //
 //pdblint:frozen
 type ShardedPlan struct {
@@ -257,7 +259,9 @@ func PrepareSharded(c *pdb.CInstance, q rel.CQ, opts Options) (*ShardedPlan, err
 	sp.combQ = NewCQQuery(q, c.Inst, di)
 	roots := make([]shardRoots, len(sp.shards))
 	for si, pl := range sp.shards {
-		keys := pl.rootKeys()
+		// Root bags are empty, so every root row is a bare state set.
+		keys := slices.Clone(pl.prog.rootSets)
+		slices.Sort(keys)
 		sets := make([][]string, len(keys))
 		for j, set := range keys {
 			sets[j] = append([]string(nil), pl.setStrings(set, nil)...)
@@ -394,7 +398,7 @@ func (sp *ShardedPlan) Result(p logic.Prob) (*Result, error) {
 }
 
 // ProbabilityBatch evaluates the sharded plan under B = len(ps) probability
-// maps: every shard runs its multi-lane dynamic program once, and the fold
+// maps: every shard runs its row program once over B lanes, and the fold
 // carries one weight lane per assignment. Lane failures are independent, as
 // in (*Plan).ProbabilityBatch: bad lanes come back NaN under a LaneErrors
 // while healthy lanes keep their values. Safe for concurrent calls once the
@@ -417,23 +421,14 @@ func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 		st := pl.getState()
 		pe := pl.fillLaneWeights(st, clean)
 		vec := make([]float64, len(sp.prog.keys[i])*B)
-		if pl.prog != nil {
-			root := pl.runBatchProg(st, pe, B)
-			for j, set := range sp.prog.keys[i] {
-				if r, ok := pl.prog.rootRow[set]; ok {
-					copy(vec[j*B:(j+1)*B], root[int(r)*B:int(r)*B+B])
-				}
+		prog := pl.program()
+		root := pl.runBatchProg(st, prog, pe, B)
+		for j, set := range sp.prog.keys[i] {
+			if r, ok := prog.rootRow[set]; ok {
+				copy(vec[j*B:(j+1)*B], root[int(r)*B:int(r)*B+B])
 			}
-			st.arena.Put(root)
-		} else {
-			root := pl.runBatchDP(st, pe, B)
-			for j, set := range sp.prog.keys[i] {
-				if ri, ok := root.idx[rowKey{set: set}]; ok {
-					copy(vec[j*B:(j+1)*B], root.lanesOf(ri, B))
-				}
-			}
-			st.releaseBatch(root)
 		}
+		st.arena.Put(root)
 		pl.putState(st)
 		vecs[i] = vec
 	}

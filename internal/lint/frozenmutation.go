@@ -17,9 +17,10 @@ package lint
 //     and every assignment (including map-index writes and += / ++) whose
 //     left side selects a field of a frozen type is reported — unless the
 //     containing function is marked //pdblint:mutates, the annotation for
-//     the two legal write classes: lazily-filled transition caches guarded
-//     by missUnlessUnfrozen (unfrozen single-goroutine evaluation only) and
-//     pool/arena bookkeeping that never aliases plan fields.
+//     the two legal write classes: structural-pass memo fills guarded by
+//     missUnlessUnfrozen (a program recompile after an attach, which only
+//     unfrozen single-goroutine plans see) and pool/arena bookkeeping that
+//     never aliases plan fields.
 //
 // Writes hidden behind methods of non-frozen field types (interners, pools)
 // are out of scope; the directive on those helpers' callers plus the race

@@ -2,8 +2,8 @@ package lint
 
 // hotpath enforces the allocation- and formatting-free discipline of the
 // kernel layer on functions marked //pdblint:hotpath: the lane-block
-// kernels, the compiled row program and the batch DP are called once per DP
-// row per evaluation, so a stray fmt call, string concatenation or closure
+// kernels and the compiled row program are called once per DP row per
+// evaluation, so a stray fmt call, string concatenation or closure
 // allocation silently costs the ~4× lane speedup the PR 6 benchmarks
 // established.
 //
@@ -12,7 +12,8 @@ package lint
 //   - string concatenation (+ / += on string operands);
 //   - function literals (closure allocation);
 //   - map iteration (range over a map), unless the directive carries
-//     -maprange — the sparse map-keyed DP tables are hot by design.
+//     -maprange — for maps that are the input by design, such as the
+//     per-lane probability maps the weight fill scatters.
 //
 // The directive argument `boundshint` additionally requires the body to keep
 // at least one `_ = s[i]` statement — the bounds-check-elimination hint the

@@ -24,8 +24,8 @@
 //	//pdblint:hotpath [boundshint] [-maprange]   on a function: ban fmt calls,
 //	    string concatenation, closure allocation and map iteration in the
 //	    body; `boundshint` additionally requires a `_ = s[n]` bounds-check
-//	    hint statement; `-maprange` permits map iteration (for sparse
-//	    map-keyed DP tables that are hot by design).
+//	    hint statement; `-maprange` permits map iteration (for maps that
+//	    are the input by design, such as per-lane probability maps).
 //	//pdblint:frozen          on a type: its fields are sealed on the frozen
 //	    evaluation path.
 //	//pdblint:frozenentry     on a method: an entry point of the frozen
