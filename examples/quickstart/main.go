@@ -68,7 +68,10 @@ func main() {
 	// The lineage as a deterministic, decomposable circuit: probability is
 	// recomputable in one linear pass for any fact probabilities.
 	c, p := tid.ToCInstance()
-	cq := core.NewCQQuery(q, c.Inst, c.Inst.IndexDomain())
+	cq, err := core.NewCQQuery(q)
+	if err != nil {
+		log.Fatal(err)
+	}
 	lin, err := core.EvaluatePC(c, p, cq, core.Options{EmitLineage: true})
 	if err != nil {
 		log.Fatal(err)

@@ -166,7 +166,10 @@ func TestIntegrationLineageRecomputesUnderNewProbabilities(t *testing.T) {
 	tid := gen.RSTChain(12, 0.5)
 	q := rel.HardQuery()
 	c, p := tid.ToCInstance()
-	cq := core.NewCQQuery(q, c.Inst, c.Inst.IndexDomain())
+	cq, err := core.NewCQQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := core.EvaluatePC(c, p, cq, core.Options{EmitLineage: true})
 	if err != nil {
 		t.Fatal(err)

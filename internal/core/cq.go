@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -11,21 +13,24 @@ import (
 
 // CQQuery compiles a Boolean conjunctive query into a bag automaton
 // (the Query interface). A state records, for every query variable, whether
-// it is unassigned, assigned to a domain element currently in the bag, or
-// assigned to an element already forgotten; plus the set of atoms already
-// witnessed by a fact. This is the "query type" state space: its size
-// depends only on the query and the bag size, never on the instance, which
-// is what makes the evaluation linear in the data (Theorem 1).
+// it is unassigned, assigned to the bag member of some colour, or assigned to
+// an element already forgotten; plus the set of atoms already witnessed by a
+// fact. A fact is read through its signature: the atoms it can witness, each
+// with the colours its variables must carry. This is the "query type" state
+// space of Theorem 1: its size depends only on the query and the bag size,
+// never on the instance, so one compiled query serves any instance and the
+// evaluation is linear in the data.
 type CQQuery struct {
 	Q      rel.CQ
 	vars   []string
 	varIdx map[string]int
 	atoms  []rel.Atom
-	inst   *rel.Instance
-	di     *rel.DomainIndex
-	// factAtoms[fi] lists the atoms whose relation and constants are
-	// compatible with fact fi, with the variable positions to check.
-	factAtoms [][]factAtomMatch
+	// sigs[id] lists the atoms a fact of signature id can witness, and
+	// sigIDs interns signatures by their byte image (see FactSignature).
+	sigs   [][]factAtomMatch
+	sigIDs map[string]int
+	sigKey []byte // FactSignature's key scratch
+	colBuf []int  // FactSignature's per-atom variable colours
 	// decoded caches key -> state: the engine revisits the same few states
 	// at every node, and parsing dominated profiles without it.
 	decoded map[string]cqState
@@ -43,9 +48,9 @@ type joinResult struct {
 
 type factAtomMatch struct {
 	atom int
-	// varElem[v] = the element id the query variable with index v must be
+	// varColour[v] = the colour the query variable with index v must be
 	// assigned to, or -1 when the variable does not occur in the atom.
-	varElem []int
+	varColour []int
 }
 
 const (
@@ -58,14 +63,25 @@ const (
 // determinized state sets small.
 const cqDone = "D"
 
-// NewCQQuery compiles q for evaluation over the given instance (the
-// candidate facts of the uncertain database) and its domain index.
-func NewCQQuery(q rel.CQ, inst *rel.Instance, di *rel.DomainIndex) *CQQuery {
-	if len(q.Atoms) > 30 {
-		panic("core: CQ has too many atoms for a bitmask")
+// maxCQAtoms bounds the atoms of a compiled CQ: a state's witness mask is
+// one uint32, and Accept compares it against the full mask.
+const maxCQAtoms = 30
+
+// ErrTooManyAtoms reports a conjunctive query with more atoms than the CQ
+// automaton's witness mask holds. Test for it with errors.Is.
+var ErrTooManyAtoms = errors.New("core: CQ has too many atoms for the automaton's witness mask")
+
+// NewCQQuery compiles q into its bag automaton. The automaton is
+// instance-independent: facts reach it only through FactSignature. A query
+// with more than 30 atoms is rejected with an error wrapping
+// ErrTooManyAtoms.
+func NewCQQuery(q rel.CQ) (*CQQuery, error) {
+	if len(q.Atoms) > maxCQAtoms {
+		return nil, fmt.Errorf("%w: %d atoms, at most %d", ErrTooManyAtoms, len(q.Atoms), maxCQAtoms)
 	}
 	c := &CQQuery{
-		Q: q, vars: q.Vars(), atoms: q.Atoms, inst: inst, di: di,
+		Q: q, vars: q.Vars(), atoms: q.Atoms,
+		sigIDs:  map[string]int{},
 		decoded: map[string]cqState{},
 		joined:  map[string]joinResult{},
 	}
@@ -73,69 +89,72 @@ func NewCQQuery(q rel.CQ, inst *rel.Instance, di *rel.DomainIndex) *CQQuery {
 	for i, v := range c.vars {
 		c.varIdx[v] = i
 	}
-	c.factAtoms = make([][]factAtomMatch, 0, inst.NumFacts())
-	if err := c.ExtendFacts(inst.NumFacts()); err != nil {
-		// The instance was indexed by di at compile time, so every constant
-		// resolves; a failure here is a caller bug.
-		panic("core: " + err.Error())
-	}
-	return c
+	c.colBuf = make([]int, len(c.vars))
+	return c, nil
 }
 
-// ExtendFacts implements FactExtender: it compiles the atom matches of every
-// fact appended to the instance since the query was built (or last extended),
-// so live stores can insert facts without recompiling the query. An appended
-// fact whose constants are missing from the compiled domain index is
-// rejected — such a fact cannot be homed in the existing decomposition
-// either, so the caller must fall back to a full re-Prepare.
-func (c *CQQuery) ExtendFacts(n int) error {
-	if n > c.inst.NumFacts() {
-		return fmt.Errorf("core: ExtendFacts(%d) beyond the instance's %d facts", n, c.inst.NumFacts())
-	}
-	for fi := len(c.factAtoms); fi < n; fi++ {
-		f := c.inst.Fact(fi)
-		var matches []factAtomMatch
-		for ai, atom := range c.atoms {
-			if atom.Rel != f.Rel || len(atom.Terms) != len(f.Args) {
-				continue
-			}
-			match := factAtomMatch{atom: ai, varElem: make([]int, len(c.vars))}
-			for i := range match.varElem {
-				match.varElem[i] = -1
-			}
-			ok := true
-			for pos, t := range atom.Terms {
-				arg := f.Args[pos]
-				if !t.IsVar {
-					if t.Name != arg {
-						ok = false
-						break
-					}
-					continue
-				}
-				vi := c.varIdx[t.Name]
-				elem, known := c.di.ByName[arg]
-				if !known {
-					return fmt.Errorf("core: fact %s uses constant %q outside the compiled domain", f, arg)
-				}
-				if match.varElem[vi] >= 0 && match.varElem[vi] != elem {
-					ok = false // repeated variable bound to two distinct args
-					break
-				}
-				match.varElem[vi] = elem
-			}
-			if ok {
-				matches = append(matches, match)
+// FactSignature implements Query: a fact's signature is the list of atoms it
+// is compatible with (same relation and arity, equal constants, repeated
+// variables on equal arguments), each with the argument colours its
+// variables must be assigned to. Two facts agreeing on that list have the
+// same transitions from every state, whatever elements they name.
+func (c *CQQuery) FactSignature(f rel.Fact, argColours []int) int {
+	key := c.sigKey[:0]
+	for ai := range c.atoms {
+		if c.matchAtom(ai, f, argColours) {
+			key = binary.AppendUvarint(key, uint64(ai))
+			for _, col := range c.colBuf {
+				key = binary.AppendUvarint(key, uint64(col+1))
 			}
 		}
-		c.factAtoms = append(c.factAtoms, matches)
 	}
-	return nil
+	c.sigKey = key
+	if id, ok := c.sigIDs[string(key)]; ok {
+		return id
+	}
+	var matches []factAtomMatch
+	for ai := range c.atoms {
+		if c.matchAtom(ai, f, argColours) {
+			matches = append(matches, factAtomMatch{atom: ai, varColour: slices.Clone(c.colBuf)})
+		}
+	}
+	id := len(c.sigs)
+	c.sigs = append(c.sigs, matches)
+	c.sigIDs[string(key)] = id
+	return id
+}
+
+// matchAtom reports whether fact f is compatible with atom ai and, if so,
+// leaves in colBuf the colour each query variable of the atom must carry (-1
+// for variables outside the atom). The fact's arguments share a bag, where
+// colours are distinct, so equal colours mean equal arguments.
+func (c *CQQuery) matchAtom(ai int, f rel.Fact, argColours []int) bool {
+	atom := c.atoms[ai]
+	if atom.Rel != f.Rel || len(atom.Terms) != len(f.Args) {
+		return false
+	}
+	for i := range c.colBuf {
+		c.colBuf[i] = -1
+	}
+	for pos, t := range atom.Terms {
+		if !t.IsVar {
+			if t.Name != f.Args[pos] {
+				return false
+			}
+			continue
+		}
+		vi := c.varIdx[t.Name]
+		if col := c.colBuf[vi]; col >= 0 && col != argColours[pos] {
+			return false // repeated variable bound to two distinct args
+		}
+		c.colBuf[vi] = argColours[pos]
+	}
+	return true
 }
 
 // cqState is the decoded form of a state key.
 type cqState struct {
-	assign []int // per variable: cqUnassigned, cqForgotten, or element id
+	assign []int // per variable: cqUnassigned, cqForgotten, or a colour
 	mask   uint32
 }
 
@@ -203,7 +222,7 @@ func (c *CQQuery) Start() []string {
 }
 
 // Introduce guesses, for every subset of the currently unassigned
-// variables, that they map to the introduced element v.
+// variables, that they map to the introduced element of colour v.
 func (c *CQQuery) Introduce(key string, v int) []string {
 	if key == cqDone {
 		return []string{cqDone}
@@ -228,10 +247,12 @@ func (c *CQQuery) Introduce(key string, v int) []string {
 	return out
 }
 
-// Forget marks variables assigned to v as forgotten. The run dies if an
-// atom mentioning such a variable is still unwitnessed: any witnessing fact
-// has v among its arguments, so its bag (which must contain v) can only lie
-// below this forget node, and the chance has passed.
+// Forget marks variables assigned to the element of colour v as forgotten.
+// The run dies if an atom mentioning such a variable is still unwitnessed:
+// any witnessing fact has that element among its arguments, so its bag
+// (which must contain the element) can only lie below this forget node, and
+// the chance has passed. A later bag member may reuse colour v; the
+// forgotten variables no longer refer to it.
 func (c *CQQuery) Forget(key string, v int) []string {
 	if key == cqDone {
 		return []string{cqDone}
@@ -271,7 +292,8 @@ func atomUsesVar(a rel.Atom, name string) bool {
 }
 
 // Join merges sibling runs. Two assignments are compatible when they agree
-// wherever both are committed; "forgotten" clashes with any other
+// wherever both are committed (the sibling bags are equal, so a colour names
+// the same element on both sides); "forgotten" clashes with any other
 // commitment because the two elements are necessarily distinct (a forgotten
 // element never reappears in the sibling branch, by the connectivity of
 // occurrences in a tree decomposition).
@@ -325,14 +347,15 @@ func (c *CQQuery) joinSlow(ka, kb string) (string, bool) {
 	return c.encode(m), true
 }
 
-// FactTransitions witnesses with fact fi every atom whose variables are all
-// assigned consistently with the fact's arguments. Witnessing all matching
-// atoms at once is sound and complete for monotone conjunctive queries.
-func (c *CQQuery) FactTransitions(key string, fi int) []string {
+// FactTransitions witnesses, with a fact of signature sig, every atom whose
+// variables are all assigned to the colours the fact's arguments carry.
+// Witnessing all matching atoms at once is sound and complete for monotone
+// conjunctive queries.
+func (c *CQQuery) FactTransitions(key string, sig int) []string {
 	if key == cqDone {
 		return nil
 	}
-	matches := c.factAtoms[fi]
+	matches := c.sigs[sig]
 	if len(matches) == 0 {
 		return nil
 	}
@@ -343,8 +366,8 @@ func (c *CQQuery) FactTransitions(key string, fi int) []string {
 			continue
 		}
 		ok := true
-		for vi, elem := range m.varElem {
-			if elem >= 0 && s.assign[vi] != elem {
+		for vi, col := range m.varColour {
+			if col >= 0 && s.assign[vi] != col {
 				ok = false
 				break
 			}

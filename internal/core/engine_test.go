@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -123,15 +125,15 @@ func TestPropertyEmittedLineageIsExactDDNNF(t *testing.T) {
 
 		tidC, tidP := randomTID(r, 1+r.Intn(7)).ToCInstance()
 		cases = append(cases, lineageCase{"tid", tidC, tidP,
-			NewCQQuery(hard, tidC.Inst, tidC.Inst.IndexDomain()), hard.Holds})
+			mustCQ(t, hard), hard.Holds})
 
 		corrC, corrP := randomCorrelatedPC(r, 1+r.Intn(7))
 		cases = append(cases, lineageCase{"correlated", corrC, corrP,
-			NewCQQuery(hard, corrC.Inst, corrC.Inst.IndexDomain()), hard.Holds})
+			mustCQ(t, hard), hard.Holds})
 
 		reachC, reachP := randomEdgeTID(r, 1+r.Intn(6), []string{"a", "b", "c", "d"}).ToCInstance()
 		cases = append(cases, lineageCase{"reach", reachC, reachP,
-			NewReachQuery("E", "a", "d", reachC.Inst, reachC.Inst.IndexDomain()),
+			NewReachQuery("E", "a", "d"),
 			func(world *rel.Instance) bool { return connectedBF(world, "E", "a", "d") }})
 
 		for _, tc := range cases {
@@ -412,13 +414,49 @@ func TestPropertyMonotoneLineageMatchesSemantics(t *testing.T) {
 	}
 }
 
+// mustCQ compiles q's bag automaton, failing the test on error.
+func mustCQ(t testing.TB, q rel.CQ) *CQQuery {
+	t.Helper()
+	cq, err := NewCQQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cq
+}
+
+// TestWideCQRejectedWithError: a CQ with more atoms than the witness mask
+// holds fails every entry point with ErrTooManyAtoms instead of panicking.
+func TestWideCQRejectedWithError(t *testing.T) {
+	atoms := make([]rel.Atom, 31)
+	for i := range atoms {
+		atoms[i] = rel.NewAtom("S", rel.V(fmt.Sprintf("x%d", i)), rel.V(fmt.Sprintf("x%d", i+1)))
+	}
+	wide := rel.NewCQ(atoms...)
+	tid := randomTID(rand.New(rand.NewSource(1)), 4)
+	if _, err := NewCQQuery(wide); !errors.Is(err, ErrTooManyAtoms) {
+		t.Errorf("NewCQQuery: %v, want ErrTooManyAtoms", err)
+	}
+	if _, _, err := PrepareTID(tid, wide, Options{}); !errors.Is(err, ErrTooManyAtoms) {
+		t.Errorf("PrepareTID: %v, want ErrTooManyAtoms", err)
+	}
+	if _, _, err := PrepareShardedTID(tid, wide, Options{}); !errors.Is(err, ErrTooManyAtoms) {
+		t.Errorf("PrepareShardedTID: %v, want ErrTooManyAtoms", err)
+	}
+	if _, _, err := CQLineage(tid.Inst, wide, Options{}); !errors.Is(err, ErrTooManyAtoms) {
+		t.Errorf("CQLineage: %v, want ErrTooManyAtoms", err)
+	}
+	if _, err := NewCQQuery(rel.NewCQ(atoms[:30]...)); err != nil {
+		t.Errorf("a 30-atom CQ: %v", err)
+	}
+}
+
 func TestRunOnWorldMatchesCQHolds(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
 		tid := randomTID(r, 1+r.Intn(8))
 		inst := tid.Inst
 		q := rel.HardQuery()
-		cq := NewCQQuery(q, inst, inst.IndexDomain())
+		cq := mustCQ(t, q)
 		n := inst.NumFacts()
 		for rep := 0; rep < 8; rep++ {
 			present := make([]bool, n)

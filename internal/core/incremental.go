@@ -169,30 +169,22 @@ func (m *Materialized) Stage(e logic.Event, pr float64) error {
 	return nil
 }
 
-// StageAttach absorbs a brand-new fact into the live view: fact fi, already
+// StageAttach absorbs a brand-new fact into the live view: fact f, already
 // appended to the instance the plan was prepared on, is spliced into the
 // compiled structure under the fresh event e with probability pr (see
 // Plan.attachFact), and the new nodes are marked dirty for the next Commit.
-// The plan's query must implement FactExtender, and f must not have been a
-// fact of the instance before (re-adding an existing fact merges annotations
-// in the instance but would home the fact twice in the plan; callers revive
-// existing facts by raising their event probability instead). On any error
-// the view is unchanged.
-func (m *Materialized) StageAttach(f rel.Fact, fi int, e logic.Event, pr float64) error {
+// f must not have been a fact of the instance before (re-adding an existing
+// fact merges annotations in the instance but would home the fact twice in
+// the plan; callers revive existing facts by raising their event probability
+// instead). On any error the view is unchanged.
+func (m *Materialized) StageAttach(f rel.Fact, e logic.Event, pr float64) error {
 	if err := m.check(); err != nil {
 		return err
 	}
 	if err := pdb.ValidateProb(pr); err != nil {
 		return fmt.Errorf("core: event %q: %w", e, err)
 	}
-	fe, ok := m.pl.q.(FactExtender)
-	if !ok {
-		return fmt.Errorf("core: the plan's query does not support appended facts")
-	}
-	if err := fe.ExtendFacts(fi + 1); err != nil {
-		return err
-	}
-	_, forget, err := m.pl.attachFact(f, fi, e)
+	_, forget, err := m.pl.attachFact(f, e)
 	if err != nil {
 		return err
 	}
@@ -646,8 +638,8 @@ func (m *Materialized) SetEventProb(e logic.Event, pr float64) (int, error) {
 
 // AttachFact stages the absorption of a new fact and commits it. See
 // StageAttach for the contract.
-func (m *Materialized) AttachFact(f rel.Fact, fi int, e logic.Event, pr float64) (int, error) {
-	if err := m.StageAttach(f, fi, e, pr); err != nil {
+func (m *Materialized) AttachFact(f rel.Fact, e logic.Event, pr float64) (int, error) {
+	if err := m.StageAttach(f, e, pr); err != nil {
 		return 0, err
 	}
 	return m.Commit()

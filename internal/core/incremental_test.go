@@ -287,9 +287,9 @@ func TestMaterializedAttach(t *testing.T) {
 		if !pl.CanAttach(f) {
 			t.Fatalf("cannot attach %s", f)
 		}
-		fi := c.Add(f, logic.Var(e))
+		c.Add(f, logic.Var(e))
 		p[e] = pr
-		if _, err := m.AttachFact(f, fi, e, pr); err != nil {
+		if _, err := m.AttachFact(f, e, pr); err != nil {
 			t.Fatal(err)
 		}
 		// Oracle: a fresh plan over the grown instance.
@@ -407,8 +407,8 @@ func TestMaterializedFrozenAndStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := rel.NewFact("R", "v1")
-	fi := c.Add(f, logic.Var("fresh"))
-	if _, err := v1.AttachFact(f, fi, "fresh", 0.5); err != nil {
+	c.Add(f, logic.Var("fresh"))
+	if _, err := v1.AttachFact(f, "fresh", 0.5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := v2.SetEventProb(tid.EventOf(0), 0.1); err == nil {
@@ -443,9 +443,9 @@ func TestMaterializedManyAttachesMatchOracle(t *testing.T) {
 			e := logic.Event(fmt.Sprintf("new%d", next))
 			next++
 			pr := float64(1+r.Intn(9)) / 10
-			fi := c.Add(f, logic.Var(e))
+			c.Add(f, logic.Var(e))
 			p[e] = pr
-			if _, err := m.AttachFact(f, fi, e, pr); err != nil {
+			if _, err := m.AttachFact(f, e, pr); err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
 		} else {
@@ -475,77 +475,98 @@ func TestMaterializedManyAttachesMatchOracle(t *testing.T) {
 // Materialized.AttachFact: attaching drops the plan's row program, so its own
 // Probability, Result and ProbabilityBatch must recompile against the
 // spliced structure and agree with a plan freshly prepared on the grown
-// instance.
+// instance. It runs a CQ and an s-t connectivity query; the reach edges
+// touch the source, the target, the middle, and one is a self-loop.
 func TestPlanEvaluationAfterAttach(t *testing.T) {
-	tid := gen.RSTChain(6, 0.5)
-	c, p := tid.ToCInstance()
-	q := rel.HardQuery()
-	pl, err := PrepareCQ(c, q, Options{})
-	if err != nil {
-		t.Fatal(err)
+	reachTID := pdb.NewTID()
+	for i := 0; i < 6; i++ {
+		reachTID.AddFact(0.5, "E", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
 	}
-	m, err := pl.Materialize(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range []rel.Fact{
-		rel.NewFact("R", "v2"),
-		rel.NewFact("S", "v3", "v4"),
-		rel.NewFact("T", "v1"),
+	for _, tc := range []struct {
+		name  string
+		tid   *pdb.TID
+		q     Query
+		facts []rel.Fact
+	}{
+		{"cq", gen.RSTChain(6, 0.5), mustCQ(t, rel.HardQuery()), []rel.Fact{
+			rel.NewFact("R", "v2"),
+			rel.NewFact("S", "v3", "v4"),
+			rel.NewFact("T", "v1"),
+		}},
+		{"reach", reachTID, NewReachQuery("E", "n0", "n6"), []rel.Fact{
+			rel.NewFact("E", "n1", "n0"),
+			rel.NewFact("E", "n5", "n6"),
+			rel.NewFact("E", "n3", "n2"),
+			rel.NewFact("E", "n4", "n4"),
+		}},
 	} {
-		if !pl.CanAttach(f) {
-			t.Fatalf("cannot attach %s", f)
-		}
-		e := logic.Event(fmt.Sprintf("att%d", i))
-		pr := 0.3 + 0.2*float64(i)
-		fi := c.Add(f, logic.Var(e))
-		p[e] = pr
-		if _, err := m.AttachFact(f, fi, e, pr); err != nil {
-			t.Fatal(err)
-		}
-
-		fresh, err := PrepareCQ(c, q, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		alt := logic.Prob{}
-		for ev, v := range p {
-			alt[ev] = 1 - v
-		}
-		lanes := []logic.Prob{p, alt}
-		want, err := fresh.ProbabilityBatch(lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		got, err := pl.Probability(p)
-		if err != nil {
-			t.Fatalf("after %s: Probability: %v", f, err)
-		}
-		if math.Abs(got-want[0]) > 1e-12 {
-			t.Errorf("after %s: Probability %v, fresh %v", f, got, want[0])
-		}
-		res, err := pl.Result(alt)
-		if err != nil {
-			t.Fatalf("after %s: Result: %v", f, err)
-		}
-		if math.Abs(res.Probability-want[1]) > 1e-12 {
-			t.Errorf("after %s: Result %v, fresh %v", f, res.Probability, want[1])
-		}
-		if res.NiceNodes != m.NumNodes() {
-			t.Errorf("after %s: Result reports %d nice nodes, the view has %d", f, res.NiceNodes, m.NumNodes())
-		}
-		batch, err := pl.ProbabilityBatch(lanes)
-		if err != nil {
-			t.Fatalf("after %s: ProbabilityBatch: %v", f, err)
-		}
-		for l := range lanes {
-			if math.Abs(batch[l]-want[l]) > 1e-12 {
-				t.Errorf("after %s: lane %d %v, fresh %v", f, l, batch[l], want[l])
+		t.Run(tc.name, func(t *testing.T) {
+			c, p := tc.tid.ToCInstance()
+			pl, err := Prepare(c, tc.q, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if math.Abs(m.Probability()-want[0]) > 1e-12 {
-			t.Errorf("after %s: view %v, fresh %v", f, m.Probability(), want[0])
-		}
+			m, err := pl.Materialize(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, f := range tc.facts {
+				if !pl.CanAttach(f) {
+					t.Fatalf("cannot attach %s", f)
+				}
+				e := logic.Event(fmt.Sprintf("att%d", i))
+				pr := 0.3 + 0.2*float64(i)
+				c.Add(f, logic.Var(e))
+				p[e] = pr
+				if _, err := m.AttachFact(f, e, pr); err != nil {
+					t.Fatal(err)
+				}
+
+				fresh, err := Prepare(c, tc.q, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				alt := logic.Prob{}
+				for ev, v := range p {
+					alt[ev] = 1 - v
+				}
+				lanes := []logic.Prob{p, alt}
+				want, err := fresh.ProbabilityBatch(lanes)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				got, err := pl.Probability(p)
+				if err != nil {
+					t.Fatalf("after %s: Probability: %v", f, err)
+				}
+				if math.Abs(got-want[0]) > 1e-12 {
+					t.Errorf("after %s: Probability %v, fresh %v", f, got, want[0])
+				}
+				res, err := pl.Result(alt)
+				if err != nil {
+					t.Fatalf("after %s: Result: %v", f, err)
+				}
+				if math.Abs(res.Probability-want[1]) > 1e-12 {
+					t.Errorf("after %s: Result %v, fresh %v", f, res.Probability, want[1])
+				}
+				if res.NiceNodes != m.NumNodes() {
+					t.Errorf("after %s: Result reports %d nice nodes, the view has %d", f, res.NiceNodes, m.NumNodes())
+				}
+				batch, err := pl.ProbabilityBatch(lanes)
+				if err != nil {
+					t.Fatalf("after %s: ProbabilityBatch: %v", f, err)
+				}
+				for l := range lanes {
+					if math.Abs(batch[l]-want[l]) > 1e-12 {
+						t.Errorf("after %s: lane %d %v, fresh %v", f, l, batch[l], want[l])
+					}
+				}
+				if math.Abs(m.Probability()-want[0]) > 1e-12 {
+					t.Errorf("after %s: view %v, fresh %v", f, m.Probability(), want[0])
+				}
+			}
+		})
 	}
 }
+

@@ -42,13 +42,10 @@ func MonotoneLineage(inst *rel.Instance, q Query, opts Options) (*circuit.Circui
 		return nil, 0, fmt.Errorf("core: supplied decomposition invalid: %w", err)
 	}
 	nice := treedec.MakeNice(d)
-	assign, err := nice.AssignScopes(inst.FactScopes(di))
+	colour := nice.Colour(len(di.Names))
+	factsAt, err := homeFacts(inst, di, nice, colour, q)
 	if err != nil {
 		return nil, 0, err
-	}
-	factsAt := make([][]int, nice.NumNodes())
-	for fi, node := range assign {
-		factsAt[node] = append(factsAt[node], fi)
 	}
 
 	c := circuit.New()
@@ -74,9 +71,9 @@ func MonotoneLineage(inst *rel.Instance, q Query, opts Options) (*circuit.Circui
 			for st, g := range child {
 				var succs []string
 				if nd.Kind == treedec.NiceIntroduce {
-					succs = q.Introduce(st, nd.Vertex)
+					succs = q.Introduce(st, colour[nd.Vertex])
 				} else {
-					succs = q.Forget(st, nd.Vertex)
+					succs = q.Forget(st, colour[nd.Vertex])
 				}
 				for _, s := range succs {
 					orInto(tab, s, g)
@@ -95,14 +92,14 @@ func MonotoneLineage(inst *rel.Instance, q Query, opts Options) (*circuit.Circui
 				}
 			}
 		}
-		for _, fi := range factsAt[t] {
-			lit := c.Var(FactEvent(fi))
+		for _, hf := range factsAt[t] {
+			lit := c.Var(FactEvent(hf.fi))
 			next := make(map[string]circuit.Gate, len(tab))
 			for st, g := range tab {
 				next[st] = g
 			}
 			for st, g := range tab {
-				for _, s := range q.FactTransitions(st, fi) {
+				for _, s := range q.FactTransitions(st, hf.sig) {
 					orInto(next, s, c.And(g, lit))
 				}
 			}
@@ -133,7 +130,10 @@ func sortGates(gs []circuit.Gate) {
 // CQLineage builds the monotone lineage circuit of a conjunctive query over
 // the candidate facts of an instance.
 func CQLineage(inst *rel.Instance, q rel.CQ, opts Options) (*circuit.Circuit, circuit.Gate, error) {
-	cq := NewCQQuery(q, inst, inst.IndexDomain())
+	cq, err := NewCQQuery(q)
+	if err != nil {
+		return nil, 0, err
+	}
 	return MonotoneLineage(inst, cq, opts)
 }
 

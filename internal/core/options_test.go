@@ -18,7 +18,7 @@ func TestSuppliedJointDecomposition(t *testing.T) {
 	joint, _, _ := JointEventGraph(c, nil)
 	d := treedec.Decompose(joint, treedec.MinFill)
 	q := rel.NewCQ(rel.NewAtom("E", rel.V("x"), rel.V("y")), rel.NewAtom("E", rel.V("y"), rel.V("z")))
-	cq := NewCQQuery(q, c.Inst, c.Inst.IndexDomain())
+	cq := mustCQ(t, q)
 	withPlanted, err := EvaluatePC(c, p, cq, Options{Joint: d})
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +41,7 @@ func TestSuppliedJointDecompositionRejectedWhenInvalid(t *testing.T) {
 	c, p := tid.ToCInstance()
 	// A decomposition of the wrong graph: single empty bag.
 	bad := &treedec.Decomposition{Bags: [][]int{{}}, Parent: []int{-1}}
-	cq := NewCQQuery(rel.NewCQ(rel.NewAtom("E", rel.V("x"), rel.V("y"))), c.Inst, c.Inst.IndexDomain())
+	cq := mustCQ(t, rel.NewCQ(rel.NewAtom("E", rel.V("x"), rel.V("y"))))
 	if _, err := EvaluatePC(c, p, cq, Options{Joint: bad}); err == nil {
 		t.Error("expected validation error for a bad supplied decomposition")
 	}

@@ -66,10 +66,12 @@ type Plan struct {
 
 	// Structure retained for the incremental layer (Materialize, attachFact)
 	// and for shape reporting: the nice decomposition the nodes were compiled
-	// from, the domain index of the prepared instance, per-node parents, the
-	// forget node applying each event's weight, and the event→index map.
+	// from, the domain index of the prepared instance and its colouring,
+	// per-node parents, the forget node applying each event's weight, and the
+	// event→index map.
 	nice      *treedec.Nice
 	di        *rel.DomainIndex
+	colour    []int // colour of every domain vertex (treedec.Nice.Colour): what the automaton reads
 	parents   []int
 	forgetAt  []int
 	eventIdx  map[logic.Event]int
@@ -84,9 +86,12 @@ type Plan struct {
 	// Set-level determinization memos, written only by structural passes
 	// (Prepare's, and a Materialized commit's per-node recompiles). Keys are
 	// integers: the query's string states are touched only on the first
-	// encounter of a state or set. Prepare's pass visits every transition the
-	// plan's structure can reach, so on a frozen plan every lookup hits and
-	// the memos are never written again.
+	// encounter of a state or set. Transitions are addressed by colour and
+	// fact signature, never by vertex or fact, so the memos depend only on
+	// the query and the width: after the first few bags almost every lookup
+	// hits. Prepare's pass visits every transition the plan's structure can
+	// reach, so on a frozen plan every lookup hits and the memos are never
+	// written again.
 	setTrans   map[uint64]int32   // transKey(op, operand, set) -> successor set
 	joinCache  map[uint64]int32   // (left set, right set) -> joined set
 	stepCache  map[uint64][]int32 // transKey(op, operand, state) -> successor states
@@ -135,7 +140,7 @@ func (pl *Plan) putState(st *evalState) { pl.evalPool.Put(st) }
 // planNode is the compiled form of one nice-decomposition node.
 type planNode struct {
 	kind     treedec.NiceKind
-	vertex   int  // introduced/forgotten vertex, -1 otherwise
+	colour   int  // colour of the introduced/forgotten domain vertex
 	child0   int  // first child, -1 if none
 	child1   int  // second child, -1 if none
 	isEvent  bool // the vertex is an event vertex
@@ -144,12 +149,12 @@ type planNode struct {
 	facts    []planFact
 }
 
-// planFact is a fact homed at a node, with its annotation compiled against
-// the bag's event bit layout: the annotation evaluates directly over a row's
-// bits word.
+// planFact is a fact homed at a node, addressed by its query signature (see
+// Query.FactSignature), with its annotation compiled against the bag's event
+// bit layout: the annotation evaluates directly over a row's bits word.
 type planFact struct {
-	fi int
-	cf *logic.CompiledFormula
+	sig int
+	cf  *logic.CompiledFormula
 }
 
 // rowKey is one determinized table row key: an interned automaton state set
@@ -167,10 +172,10 @@ const (
 )
 
 // transKey packs a memoized transition's address into one word for the
-// integer map fast path: the operation, its operand (a vertex for
-// introduce/forget, a fact index for fact application; below 2^30, which no
-// instance that fits in memory reaches) and the state or set id it applies
-// to.
+// integer map fast path: the operation, its operand (a colour for
+// introduce/forget, a fact signature id for fact application; both bounded
+// by the query and the width, far below 2^30) and the state or set id it
+// applies to.
 func transKey(op uint8, arg int, x int32) uint64 {
 	return uint64(op)<<62 | uint64(arg)<<32 | uint64(uint32(x))
 }
@@ -220,6 +225,7 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 	}
 	nice := treedec.MakeNice(d)
 	nDom := len(di.Names)
+	colour := nice.Colour(nDom)
 
 	// Event valuations are tracked in a 64-bit mask per table row.
 	for _, nd := range nice.Nodes {
@@ -273,7 +279,7 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 	pl.nodes = make([]planNode, nice.NumNodes())
 	for t := range nice.Nodes {
 		nd := &nice.Nodes[t]
-		pn := planNode{kind: nd.Kind, vertex: nd.Vertex, child0: -1, child1: -1, eventIdx: -1}
+		pn := planNode{kind: nd.Kind, colour: -1, child0: -1, child1: -1, eventIdx: -1}
 		if len(nd.Children) > 0 {
 			pn.child0 = nd.Children[0]
 		}
@@ -289,10 +295,13 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 				if nd.Kind == treedec.NiceForget {
 					pn.eventIdx = nd.Vertex - nDom
 				}
+			} else {
+				pn.colour = colour[nd.Vertex]
 			}
 		}
 		pl.nodes[t] = pn
 	}
+	var colourBuf []int
 	for fi, t := range assign {
 		bagEvs := bagEventVertices(nice.Nodes[t].Bag, nDom)
 		varBit := make(map[logic.Event]int, len(annVars[fi]))
@@ -301,13 +310,14 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 			varBit[e] = eventPosition(bagEvs, eventVertex[e], false)
 		}
 		pl.nodes[t].facts = append(pl.nodes[t].facts, planFact{
-			fi: fi,
-			cf: logic.CompileMask(c.Ann[fi], varBit),
+			sig: factSignature(q, c.Inst.Fact(fi), di, colour, &colourBuf),
+			cf:  logic.CompileMask(c.Ann[fi], varBit),
 		})
 	}
 
 	pl.nice = nice
 	pl.di = di
+	pl.colour = colour
 	pl.eventIdx = make(map[logic.Event]int, len(events))
 	for i, e := range events {
 		pl.eventIdx[e] = i
@@ -346,9 +356,14 @@ func (pl *Plan) rebuildTopology() {
 }
 
 // PrepareCQ compiles a plan for a Boolean conjunctive query on the
-// pc-instance structure c.
+// pc-instance structure c. A query the CQ automaton cannot compile fails
+// with NewCQQuery's error (ErrTooManyAtoms).
 func PrepareCQ(c *pdb.CInstance, q rel.CQ, opts Options) (*Plan, error) {
-	return Prepare(c, NewCQQuery(q, c.Inst, c.Inst.IndexDomain()), opts)
+	cq, err := NewCQQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	return Prepare(c, cq, opts)
 }
 
 // PrepareTID compiles a plan for a conjunctive query on a TID instance via
@@ -375,10 +390,6 @@ func (pl *Plan) NumNiceNodes() int { return len(pl.nodes) }
 // Depth bounds the per-update cost of a Materialized view: a single event
 // change recomputes at most depth+1 node tables.
 func (pl *Plan) Shape() treedec.Stats { return pl.nice.Stats() }
-
-// Query returns the compiled query the plan runs. Callers use it to reach
-// optional extensions such as FactExtender.
-func (pl *Plan) Query() Query { return pl.q }
 
 // Probability evaluates the plan under the event probabilities p and
 // returns the exact query probability: one run of the compiled row program.
@@ -468,10 +479,10 @@ type detPass struct {
 
 // pairMemo is a flat open-addressing hash table from a state pair to the
 // Join of the two states: linear probing over two parallel arrays, one
-// multiply and usually one probe per lookup. A state×state matrix would
-// index faster but grows with the square of the state count, which is
-// linear in the instance for CQ automata (states name domain elements);
-// this table grows with the pairs actually met.
+// multiply and usually one probe per lookup. The state count depends only
+// on the query and the width, but it is exponential in both, so a
+// state×state matrix could still dwarf the pairs a plan actually meets;
+// this table grows with those pairs.
 type pairMemo struct {
 	keys  []uint64 // pair key + 1; 0 marks an empty slot
 	vals  []int32  // merged state, -1 when the pair does not merge
@@ -881,33 +892,32 @@ func (pl *Plan) findAttach(f rel.Fact) (node int, err error) {
 }
 
 // CanAttach reports whether attachFact would succeed for a fact with the
-// given arguments: the plan is unfrozen, its query accepts appended facts,
-// and some bag covers the arguments. The pre-flight check incr.Store runs
-// before committing to the in-place insertion path.
+// given arguments: the plan is unfrozen and some bag covers the arguments.
+// The pre-flight check incr.Store runs before committing to the in-place
+// insertion path.
 func (pl *Plan) CanAttach(f rel.Fact) bool {
 	if pl.frozen {
-		return false
-	}
-	if _, ok := pl.q.(FactExtender); !ok {
 		return false
 	}
 	_, err := pl.findAttach(f)
 	return err == nil
 }
 
-// attachFact splices fact fi of the plan's instance — newly appended there by
-// the caller — into the compiled structure: a fresh event e is introduced and
+// attachFact splices fact f — newly appended to the plan's instance by the
+// caller — into the compiled structure: a fresh event e is introduced and
 // immediately forgotten above the shallowest bag covering the fact's
 // arguments, and the fact is homed at the introduce node with annotation e.
+// The covering bag already coloured the arguments, so the fact reaches the
+// query through its signature like every prepared fact.
 // Because the event pair is local, every other node's bag, bit layout and
 // table are untouched; only the spliced nodes and their root path need
 // recomputation (the caller — Materialized.StageAttach — marks them dirty).
 // The plan-level row program is dropped; the next plan evaluation
 // recompiles it.
 //
-// The plan's query must already cover fact fi (see FactExtender). Attaching
-// to a frozen plan is an error: it would grow the sealed transition memos.
-func (pl *Plan) attachFact(f rel.Fact, fi int, e logic.Event) (intro, forget int, err error) {
+// Attaching to a frozen plan is an error: it would grow the sealed
+// transition memos.
+func (pl *Plan) attachFact(f rel.Fact, e logic.Event) (intro, forget int, err error) {
 	if pl.frozen {
 		return 0, 0, fmt.Errorf("core: cannot attach a fact to a frozen plan")
 	}
@@ -920,6 +930,8 @@ func (pl *Plan) attachFact(f rel.Fact, fi int, e logic.Event) (intro, forget int
 	}
 
 	bag := pl.nice.Nodes[t].Bag
+	var colourBuf []int
+	sig := factSignature(pl.q, f, pl.di, pl.colour, &colourBuf)
 	eventIdx := len(pl.events)
 	v := pl.nDom + eventIdx // beyond every existing vertex: domain, then events in order
 	pos := len(bagEventVertices(bag, pl.nDom))
@@ -937,12 +949,12 @@ func (pl *Plan) attachFact(f rel.Fact, fi int, e logic.Event) (intro, forget int
 	)
 	pl.nodes = append(pl.nodes,
 		planNode{
-			kind: treedec.NiceIntroduce, vertex: v, child0: t, child1: -1,
+			kind: treedec.NiceIntroduce, colour: -1, child0: t, child1: -1,
 			isEvent: true, pos: pos, eventIdx: -1,
-			facts: []planFact{{fi: fi, cf: logic.CompileMask(logic.Var(e), map[logic.Event]int{e: pos})}},
+			facts: []planFact{{sig: sig, cf: logic.CompileMask(logic.Var(e), map[logic.Event]int{e: pos})}},
 		},
 		planNode{
-			kind: treedec.NiceForget, vertex: v, child0: intro, child1: -1,
+			kind: treedec.NiceForget, colour: -1, child0: intro, child1: -1,
 			isEvent: true, pos: pos, eventIdx: eventIdx,
 		},
 	)

@@ -225,7 +225,7 @@ func TestPlanReachQuery(t *testing.T) {
 		tid.AddFact(0.5, "E", fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", i+1))
 	}
 	c, p := tid.ToCInstance()
-	q := NewReachQuery("E", "n0", "n6", c.Inst, c.Inst.IndexDomain())
+	q := NewReachQuery("E", "n0", "n6")
 	pl, err := Prepare(c, q, Options{})
 	if err != nil {
 		t.Fatal(err)

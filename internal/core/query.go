@@ -24,13 +24,30 @@
 //     and supporting O(gates) possibility and certainty checks.
 package core
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/rel"
+)
 
 func sortStrings(ss []string) { sort.Strings(ss) }
 
 // Query is a nondeterministic bag automaton: the compiled form of a Boolean
 // query, run bottom-up over a nice tree decomposition of the instance's
 // Gaifman graph. States are opaque strings managed by the implementation.
+//
+// The automaton never sees a domain element. The engine colours the
+// decomposition's domain vertices (treedec.Nice.Colour) so that the members
+// of every bag carry pairwise distinct colours, 0 up to the widest bag's
+// domain size, and the automaton reads colours: a colour names exactly one
+// member of the current bag, which is all a run needs, since an element that
+// leaves the bag never returns. Facts are read through their signatures
+// (FactSignature): a dense id for what the query can read from a fact — for
+// a CQ, the atoms it can witness and the colours its arguments carry — but
+// not the fact's identity. States, state sets and every determinization memo
+// therefore depend only on the query and the decomposition width, never on
+// the instance: the paper's tree-encoding automaton over k+1 element names
+// (Theorem 1).
 //
 // Runs are existential: the query holds on a possible world iff some run
 // over that world reaches an accepting state at the (empty-bag) root. The
@@ -47,24 +64,31 @@ type Query interface {
 	// Start returns the states at an empty leaf bag.
 	Start() []string
 
-	// Introduce returns all successor states when domain element v joins
-	// the bag. Implementations must include the "no change" successor
-	// explicitly if the state survives (it almost always does).
-	Introduce(st string, v int) []string
+	// Introduce returns all successor states when the domain element of
+	// colour c joins the bag. Implementations must include the "no change"
+	// successor explicitly if the state survives (it almost always does).
+	Introduce(st string, c int) []string
 
-	// Forget returns the successor states when domain element v leaves the
-	// bag, or nil if the run dies (e.g. a pending obligation on v can no
-	// longer be met).
-	Forget(st string, v int) []string
+	// Forget returns the successor states when the domain element of colour
+	// c leaves the bag, or nil if the run dies (e.g. a pending obligation on
+	// it can no longer be met).
+	Forget(st string, c int) []string
 
 	// Join merges the states of two runs from sibling subtrees whose bags
 	// are equal. ok is false when the runs are inconsistent.
 	Join(a, b string) (merged string, ok bool)
 
-	// FactTransitions returns the extra successor states available when
-	// fact fi of the instance is present in the world. The identity
+	// FactSignature returns the dense id of the signature of fact f, whose
+	// argument f.Args[i] carries colour argColours[i] in the bag the fact
+	// is read at. Facts with equal signatures must have equal transitions
+	// from every state. Ids are allocated on first use, so the same
+	// signature always gets the same id from one Query value.
+	FactSignature(f rel.Fact, argColours []int) int
+
+	// FactTransitions returns the extra successor states available when a
+	// fact of signature sig is present in the world. The identity
 	// transition is implicit.
-	FactTransitions(st string, fi int) []string
+	FactTransitions(st string, sig int) []string
 
 	// Accept reports whether a state at the empty-bag root is accepting.
 	Accept(st string) bool
@@ -81,14 +105,16 @@ type SetPruner interface {
 	PruneSet(set []string) []string
 }
 
-// FactExtender is an optional Query extension for live-updated instances: a
-// query compiled against an instance that later grows must learn about the
-// appended facts before the engine applies their FactTransitions.
-// ExtendFacts(n) declares that the instance now holds n facts, all appended
-// at the end; it returns an error when an appended fact cannot be handled
-// (e.g. its constants are outside the compiled domain index).
-type FactExtender interface {
-	ExtendFacts(n int) error
+// factSignature returns q's signature id of fact f read in a bag of the
+// decomposition coloured by colour (indexed by the domain vertex of di). buf
+// is reusable scratch for the argument colours.
+func factSignature(q Query, f rel.Fact, di *rel.DomainIndex, colour []int, buf *[]int) int {
+	cs := (*buf)[:0]
+	for _, a := range f.Args {
+		cs = append(cs, colour[di.ByName[a]])
+	}
+	*buf = cs
+	return q.FactSignature(f, cs)
 }
 
 func prune(q Query, set []string) []string {
@@ -111,13 +137,13 @@ func detStep(q Query, set []string, step func(string) []string) []string {
 	return prune(q, sortedKeys(out))
 }
 
-// detFact applies a fact to a state set: every state survives (identity) and
-// contributes its fact transitions.
-func detFact(set []string, q Query, fi int) []string {
+// detFact applies a fact of signature sig to a state set: every state
+// survives (identity) and contributes its fact transitions.
+func detFact(set []string, q Query, sig int) []string {
 	out := make(map[string]struct{}, len(set))
 	for _, st := range set {
 		out[st] = struct{}{}
-		for _, succ := range q.FactTransitions(st, fi) {
+		for _, succ := range q.FactTransitions(st, sig) {
 			out[succ] = struct{}{}
 		}
 	}

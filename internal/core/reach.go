@@ -16,36 +16,61 @@ import (
 // goes beyond CQs: any query compiled to an automaton is tractable on
 // bounded-treewidth uncertain instances.
 //
-// States track a partition of some "active" bag elements into blocks —
-// connected components of the edges the run has committed to — with two
-// persistent flags per block recording whether the component has absorbed
-// Source or Target. A run dies when a block loses its last bag element
-// before connecting Source to Target; it reaches the absorbing accepting
-// state the moment a block holds both flags.
+// States track a partition of some "active" bag members, named by their
+// colours, into blocks — connected components of the edges the run has
+// committed to — with two persistent flags per block recording whether the
+// component has absorbed Source or Target. A run dies when a block loses its
+// last bag member before connecting Source to Target; it reaches the
+// absorbing accepting state the moment a block holds both flags. An edge
+// fact's signature is its endpoint colours plus which endpoints are Source
+// or Target, so the state space depends only on the width.
 type ReachQuery struct {
 	Edge           string // edge relation name, e.g. "E"
 	Source, Target string // constants
-	inst           *rel.Instance
-	di             *rel.DomainIndex
-	sElem, tElem   int // element ids, -1 when absent from the domain
+
+	sigs   []reachSig
+	sigIDs map[reachSig]int
 }
 
-// NewReachQuery compiles the connectivity query for an instance.
-func NewReachQuery(edge, source, target string, inst *rel.Instance, di *rel.DomainIndex) *ReachQuery {
-	q := &ReachQuery{Edge: edge, Source: source, Target: target, inst: inst, di: di, sElem: -1, tElem: -1}
-	if v, ok := di.ByName[source]; ok {
-		q.sElem = v
+// reachSig is the signature of a fact: the colours of an edge's endpoints
+// and whether an endpoint is Source or Target, or a < 0 for a fact that is
+// no edge.
+type reachSig struct {
+	a, b                 int
+	hasSource, hasTarget bool
+}
+
+// NewReachQuery compiles the connectivity query. Like every Query it is
+// instance-independent: facts reach it only through FactSignature.
+func NewReachQuery(edge, source, target string) *ReachQuery {
+	return &ReachQuery{Edge: edge, Source: source, Target: target, sigIDs: map[reachSig]int{}}
+}
+
+// FactSignature implements Query: an Edge fact is addressed by its endpoint
+// colours and Source/Target flags, every other fact by the one inert
+// signature.
+func (q *ReachQuery) FactSignature(f rel.Fact, argColours []int) int {
+	sig := reachSig{a: -1, b: -1}
+	if f.Rel == q.Edge && len(f.Args) == 2 {
+		sig = reachSig{
+			a: argColours[0], b: argColours[1],
+			hasSource: f.Args[0] == q.Source || f.Args[1] == q.Source,
+			hasTarget: f.Args[0] == q.Target || f.Args[1] == q.Target,
+		}
 	}
-	if v, ok := di.ByName[target]; ok {
-		q.tElem = v
+	if id, ok := q.sigIDs[sig]; ok {
+		return id
 	}
-	return q
+	id := len(q.sigs)
+	q.sigs = append(q.sigs, sig)
+	q.sigIDs[sig] = id
+	return id
 }
 
 const reachDone = "D"
 
 type reachState struct {
-	elems []int // sorted active elements
+	elems []int // sorted colours of the active bag members
 	block []int // block[i] = canonical block id of elems[i]
 	hasS  []bool
 	hasT  []bool // indexed by block id
@@ -118,14 +143,15 @@ func (q *ReachQuery) Start() []string {
 }
 
 // Introduce keeps the state unchanged: blocks are only created by edges.
-func (q *ReachQuery) Introduce(st string, v int) []string {
+func (q *ReachQuery) Introduce(st string, _ int) []string {
 	return []string{st}
 }
 
-// Forget removes v from its block if active. A block that loses its last
-// bag element can never grow again (every future edge touches only current
-// or future bag elements), so the run dies: either the component was sealed
-// without connecting Source to Target, or the guess was useless.
+// Forget removes the member of colour v from its block if active. A block
+// that loses its last bag member can never grow again (every future edge
+// touches only current or future bag elements), so the run dies: either the
+// component was sealed without connecting Source to Target, or the guess was
+// useless.
 func (q *ReachQuery) Forget(st string, v int) []string {
 	if st == reachDone {
 		return []string{reachDone}
@@ -163,7 +189,8 @@ func (q *ReachQuery) Forget(st string, v int) []string {
 }
 
 // Join merges the component structures of two sibling runs by unioning
-// blocks that share an active element.
+// blocks that share an active member (the sibling bags are equal, so a
+// colour names the same element on both sides).
 func (q *ReachQuery) Join(a, b string) (string, bool) {
 	if a == reachDone || b == reachDone {
 		return reachDone, true
@@ -242,18 +269,18 @@ func (q *ReachQuery) Join(a, b string) (string, bool) {
 	return q.encode(ns), true
 }
 
-// FactTransitions commits to an edge: it activates or merges the blocks of
-// its endpoints. At most one successor exists per state.
-func (q *ReachQuery) FactTransitions(st string, fi int) []string {
+// FactTransitions commits to an edge of signature sig: it activates or
+// merges the blocks of its endpoints. At most one successor exists per
+// state.
+func (q *ReachQuery) FactTransitions(st string, sig int) []string {
 	if st == reachDone {
 		return nil
 	}
-	f := q.inst.Fact(fi)
-	if f.Rel != q.Edge || len(f.Args) != 2 {
+	fs := q.sigs[sig]
+	if fs.a < 0 {
 		return nil
 	}
-	a := q.di.ByName[f.Args[0]]
-	b := q.di.ByName[f.Args[1]]
+	a, b := fs.a, fs.b
 	s := q.decode(st)
 	blockOf := map[int]int{}
 	for i, e := range s.elems {
@@ -299,10 +326,10 @@ func (q *ReachQuery) FactTransitions(st string, fi int) []string {
 		target = id
 	}
 	// Absorb the source/target flags carried by the endpoints themselves.
-	if a == q.sElem || b == q.sElem {
+	if fs.hasSource {
 		ns.hasS[target] = true
 	}
-	if a == q.tElem || b == q.tElem {
+	if fs.hasTarget {
 		ns.hasT[target] = true
 	}
 	if ns.hasS[target] && ns.hasT[target] {
@@ -351,6 +378,5 @@ func sortedIntKeys(m map[int]int) []int {
 // Theorem 1 algorithm.
 func ReachProbabilityTID(t *pdb.TID, edge, source, target string, opts Options) (*Result, error) {
 	c, p := t.ToCInstance()
-	q := NewReachQuery(edge, source, target, c.Inst, c.Inst.IndexDomain())
-	return EvaluatePC(c, p, q, opts)
+	return EvaluatePC(c, p, NewReachQuery(edge, source, target), opts)
 }

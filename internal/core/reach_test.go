@@ -129,7 +129,7 @@ func TestPropertyReachRunOnWorldMatchesBFS(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tid := randomEdgeTID(r, 1+r.Intn(9), names)
 		inst := tid.Inst
-		q := NewReachQuery("E", "s", "t", inst, inst.IndexDomain())
+		q := NewReachQuery("E", "s", "t")
 		present := make([]bool, inst.NumFacts())
 		for i := range present {
 			present[i] = r.Intn(2) == 0

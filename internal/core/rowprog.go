@@ -88,7 +88,7 @@ func (dp *detPass) factRemap(nd *planNode, k rowKey) rowKey {
 	for i := range nd.facts {
 		pf := &nd.facts[i]
 		if pf.cf.Eval(k.bits) {
-			k.set = dp.stepSet(opFact, pf.fi, k.set)
+			k.set = dp.stepSet(opFact, pf.sig, k.set)
 		}
 	}
 	return k
@@ -141,7 +141,7 @@ func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodePr
 			keys = make([]rowKey, 0, len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: slot(rowKey{set: dp.stepSet(opIntroduce, nd.vertex, k.set), bits: k.bits})})
+					rpEdge{src: int32(si), dst: slot(rowKey{set: dp.stepSet(opIntroduce, nd.colour, k.set), bits: k.bits})})
 			}
 		}
 
@@ -165,7 +165,7 @@ func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodePr
 			np.edges = make([]rpEdge, 0, len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: slot(rowKey{set: dp.stepSet(opForget, nd.vertex, k.set), bits: k.bits})})
+					rpEdge{src: int32(si), dst: slot(rowKey{set: dp.stepSet(opForget, nd.colour, k.set), bits: k.bits})})
 			}
 		}
 

@@ -89,9 +89,9 @@ type shardRoots struct {
 // compileFold builds the fold program over the given shard root layouts:
 // the fold starts from the query's start set (the join identity for CQ
 // automata) and absorbs one shard per step, joining state sets through q.
-// Because root bags are empty, the state sets carry no live domain
-// elements, so joining them through any one CQQuery instance is sound even
-// when every shard compiled its own.
+// Because root bags are empty, the state sets carry no colours (every
+// variable is unassigned or forgotten), so joining them through any one
+// CQQuery instance is sound even when every shard compiled its own.
 func compileFold(q Query, shards []shardRoots) foldProgram {
 	prog := foldProgram{
 		keys:  make([][]int32, len(shards)),
@@ -256,7 +256,11 @@ func PrepareSharded(c *pdb.CInstance, q rel.CQ, opts Options) (*ShardedPlan, err
 		sp.nodes += len(pl.nodes)
 	}
 
-	sp.combQ = NewCQQuery(q, c.Inst, di)
+	combQ, err := NewCQQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	sp.combQ = combQ
 	roots := make([]shardRoots, len(sp.shards))
 	for si, pl := range sp.shards {
 		// Root bags are empty, so every root row is a bare state set.

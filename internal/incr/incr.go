@@ -436,8 +436,11 @@ func (s *Store) RegisterView(q rel.CQ, opts core.Options) (*View, error) {
 	if s.broken != nil {
 		return nil, s.broken
 	}
-	empty := rel.NewInstance()
-	v := &View{store: s, q: q, opts: opts, combQ: core.NewCQQuery(q, empty, empty.IndexDomain())}
+	combQ, err := core.NewCQQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	v := &View{store: s, q: q, opts: opts, combQ: combQ}
 	if err := v.build(); err != nil {
 		return nil, err
 	}
@@ -1190,7 +1193,7 @@ func (s *Store) attachToShard(k, id int, f rel.Fact, p float64) {
 	s.shardOf[id], s.cIdx[id] = k, ci
 	for _, v := range s.views {
 		vs := &v.shards[k]
-		if err := vs.mat.StageAttach(f, ci, e, p); err != nil {
+		if err := vs.mat.StageAttach(f, e, p); err != nil {
 			s.needRebuild = true
 			return
 		}

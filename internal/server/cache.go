@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 
 	"repro/internal/incr"
@@ -62,7 +63,8 @@ func newPlanCache(max int, onEvict func(*incr.View)) *planCache {
 
 // get returns the cached view for fp, building it with build on a miss.
 // hit reports whether a cached (or in-flight) entry was reused. A build
-// failure is not cached: the entry is removed so the next request retries.
+// failure or panic is not cached: the entry is removed so the next request
+// retries.
 func (pc *planCache) get(fp string, build func() (*incr.View, error)) (v *incr.View, hit bool, err error) {
 	pc.mu.Lock()
 	if e, ok := pc.entries[fp]; ok {
@@ -96,20 +98,35 @@ func (pc *planCache) get(fp string, build func() (*incr.View, error)) (v *incr.V
 		pc.onEvict(old)
 	}
 
-	e.view, e.err = build()
-	close(e.ready)
-	if e.err != nil {
-		pc.mu.Lock()
-		// Only remove if the entry is still ours (it is: failed entries are
-		// only removed here, and fp collisions wait on ready).
-		if pc.entries[fp] == e {
-			delete(pc.entries, fp)
-			pc.order.Remove(e.elem)
+	// The entry is settled even when build panics: waiters then see an
+	// error instead of blocking on ready forever, the failed entry is
+	// dropped so the next request retries, and the panic goes on to the
+	// caller.
+	built := false
+	defer func() {
+		if !built {
+			e.view, e.err = nil, errBuildPanicked
 		}
-		pc.mu.Unlock()
-	}
+		close(e.ready)
+		if e.err != nil {
+			pc.mu.Lock()
+			// Only remove if the entry is still ours (it is: failed entries
+			// are only removed here, and fp collisions wait on ready).
+			if pc.entries[fp] == e {
+				delete(pc.entries, fp)
+				pc.order.Remove(e.elem)
+			}
+			pc.mu.Unlock()
+		}
+	}()
+	e.view, e.err = build()
+	built = true
 	return e.view, false, e.err
 }
+
+// errBuildPanicked is what requests coalesced onto a registration receive
+// when that registration panicked.
+var errBuildPanicked = errors.New("server: preparing the query's view panicked")
 
 // evictLocked trims the cache to max entries, skipping entries whose build
 // is still in flight (their view is not yet known). Returns the views to

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/incr"
 	"repro/internal/pdb"
 	"repro/internal/pdbio"
 	"repro/internal/rel"
@@ -926,5 +928,89 @@ func TestConcurrentLanesMatchLibrary(t *testing.T) {
 		if want := answer(qr.Seq, nil); math.Abs(qr.Probability-want) > 1e-12 {
 			t.Fatalf("/query at seq %d = %v, library %v", qr.Seq, qr.Probability, want)
 		}
+	}
+}
+
+// TestWideQueryRejectedPromptly: a CQ with more atoms than the automaton's
+// witness mask holds is a 4xx on /query and /batch — twice for the same
+// fingerprint, each within a second, since a failed registration must not
+// leave the plan-cache entry wedged — and the server keeps answering.
+func TestWideQueryRejectedPromptly(t *testing.T) {
+	_, ts := newTestServer(t, rstTID(0.9, 0.5, 0.8), Config{})
+	atoms := make([]string, 31)
+	for i := range atoms {
+		atoms[i] = fmt.Sprintf("S(?x%d,?x%d)", i, i+1)
+	}
+	wide := strings.Join(atoms, " & ")
+	client := &http.Client{Timeout: time.Second}
+	post := func(path string, body any) int {
+		t.Helper()
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for i := 0; i < 2; i++ {
+		if code := post("/query", queryRequest{Query: wide}); code < 400 || code >= 500 {
+			t.Fatalf("wide /query #%d: status %d, want 4xx", i, code)
+		}
+		if code := post("/batch", batchRequest{Query: wide, Assignments: []map[string]float64{{"0": 0.5}}}); code < 400 || code >= 500 {
+			t.Fatalf("wide /batch #%d: status %d, want 4xx", i, code)
+		}
+	}
+	var qr queryResponse
+	postJSON(t, ts.URL+"/query", queryRequest{Query: "R(?x) & S(?x,?y) & T(?y)"}, &qr)
+	if math.Abs(qr.Probability-0.9*0.5*0.8) > 1e-12 {
+		t.Fatalf("P(q) = %v after the wide query, want %v", qr.Probability, 0.36)
+	}
+}
+
+// TestPlanCacheBuildPanicSettlesEntry: when a registration panics, the
+// requests coalesced onto it get an error instead of blocking forever, and
+// the entry is dropped so the next request builds afresh.
+func TestPlanCacheBuildPanicSettlesEntry(t *testing.T) {
+	pc := newPlanCache(4, func(*incr.View) {})
+	started, release := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer func() { _ = recover() }()
+		pc.get("fp", func() (*incr.View, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := pc.get("fp", func() (*incr.View, error) { return nil, fmt.Errorf("not coalesced") })
+		waiter <- err
+	}()
+	for {
+		pc.mu.Lock()
+		hits := pc.hits
+		pc.mu.Unlock()
+		if hits == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, errBuildPanicked) {
+			t.Fatalf("coalesced request got %v, want errBuildPanicked", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("coalesced request still blocked after the build panicked")
+	}
+	rebuilt := false
+	if _, hit, _ := pc.get("fp", func() (*incr.View, error) { rebuilt = true; return nil, fmt.Errorf("again") }); hit || !rebuilt {
+		t.Fatalf("after the panic: hit=%v rebuilt=%v, want a fresh build", hit, rebuilt)
 	}
 }

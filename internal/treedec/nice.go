@@ -228,6 +228,47 @@ func (n *Nice) PostOrder() []int {
 	return order
 }
 
+// Colour colours the vertices below nv (the domain vertices of a joint
+// graph, whose higher ids are events) so that the coloured members of every
+// bag carry pairwise distinct colours. colour[v] is -1 for a vertex in no
+// bag. At most one colour per coloured slot of the widest bag is used.
+//
+// One top-down walk suffices: the root bag is empty, so every vertex is
+// forgotten exactly once, and the bags holding it form the subtree under its
+// forget node. The forget node's bag holds exactly the vertices sharing a
+// bag with v whose own forget node lies above, all coloured already, so v
+// takes the smallest colour none of them uses; vertices forgotten below
+// pick around v in turn.
+func (n *Nice) Colour(nv int) []int {
+	colour := make([]int, nv)
+	for i := range colour {
+		colour[i] = -1
+	}
+	var used []bool
+	stack := []int{n.Root}
+	for len(stack) > 0 {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nd := &n.Nodes[t]
+		stack = append(stack, nd.Children...)
+		if nd.Kind != NiceForget || nd.Vertex >= nv {
+			continue
+		}
+		used = append(used[:0], make([]bool, len(nd.Bag)+1)...)
+		for _, u := range nd.Bag {
+			if u < nv && colour[u] < len(used) {
+				used[colour[u]] = true
+			}
+		}
+		c := 0
+		for used[c] {
+			c++
+		}
+		colour[nd.Vertex] = c
+	}
+	return colour
+}
+
 // AssignScopes maps each scope (a set of vertices that forms a clique of the
 // decomposed graph, e.g. the arguments of a fact) to a single nice node whose
 // bag contains it. Returns an error if some scope fits in no bag.

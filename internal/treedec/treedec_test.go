@@ -115,6 +115,41 @@ func TestPropertyNicePreservesValidityAndWidth(t *testing.T) {
 	}
 }
 
+// TestPropertyColourProperPerBag: Colour gives the coloured members of every
+// bag distinct colours, uses no more colours than the widest bag holds, and
+// leaves the uncoloured vertices (ids at or above the bound) alone.
+func TestPropertyColourProperPerBag(t *testing.T) {
+	cfg := &quick.Config{MaxCount: 60}
+	err := quick.Check(func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := randomGraph(r, 2+r.Intn(14), r.Float64())
+		nice := MakeNice(Decompose(g, MinFill))
+		nv := r.Intn(g.N() + 1)
+		colour := nice.Colour(nv)
+		if len(colour) != nv {
+			return false
+		}
+		for _, nd := range nice.Nodes {
+			seen := map[int]bool{}
+			for _, v := range nd.Bag {
+				if v >= nv {
+					continue
+				}
+				c := colour[v]
+				if c < 0 || c > nice.Width() || seen[c] {
+					t.Logf("seed %d: bag %v colours %v", seed, nd.Bag, colour)
+					return false
+				}
+				seen[c] = true
+			}
+		}
+		return true
+	}, cfg)
+	if err != nil {
+		t.Error(err)
+	}
+}
+
 func TestNiceStructure(t *testing.T) {
 	g := Cycle(6)
 	nice := MakeNice(Decompose(g, MinFill))

@@ -32,17 +32,20 @@ trap 'rm -f "$raw" "$fresh"' EXIT
 
 go test -run '^$' -bench "$bench" -benchmem -count "$count" | tee "$raw"
 
-# Average the repetitions per benchmark and emit a JSON object keyed by
-# benchmark name (GOMAXPROCS suffix stripped). Metrics are located by their
-# unit label rather than by column, so benchmarks that report extra metrics
-# (e.g. the ns/assign of the multi-lane batch benchmarks, the req/s of the
-# service load generator) parse correctly.
+# Summarize the repetitions per benchmark and emit a JSON object keyed by
+# benchmark name (GOMAXPROCS suffix stripped). ns_per_op, bytes_per_op,
+# allocs_per_op and the extra metrics are means over the runs; ns_median,
+# ns_min and ns_max give the spread of the time per op, so a comparison can
+# tell a shift from noise. Metrics are located by their unit label rather than
+# by column, so benchmarks that report extra metrics (e.g. the ns/assign of
+# the multi-lane batch benchmarks, the req/s of the service load generator)
+# parse correctly.
 awk -v host="$(go env GOOS)/$(go env GOARCH)" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)
     for (f = 3; f <= NF; f++) {
-        if ($f == "ns/op")          ns[name] += $(f-1)
+        if ($f == "ns/op")          { ns[name] += $(f-1); nsrun[name, nsn[name]++] = $(f-1) }
         else if ($f == "B/op")      bytes[name] += $(f-1)
         else if ($f == "allocs/op") allocs[name] += $(f-1)
         else if ($f == "ns/assign") assign[name] += $(f-1)
@@ -68,6 +71,14 @@ END {
         # baseline with zero/NaN fields — skipping it here leaves the
         # previously recorded entry intact through the merge below.
         if (!(name in ns) || runs[name] == 0) continue
+        # Sort this benchmark'"'"'s ns/op samples (insertion sort; a handful of
+        # runs) for the median and the extremes.
+        m = nsn[name]
+        for (a = 0; a < m; a++) s[a] = nsrun[name, a]
+        for (a = 1; a < m; a++)
+            for (c = a; c > 0 && s[c] < s[c-1]; c--) { t = s[c]; s[c] = s[c-1]; s[c-1] = t }
+        med = (m % 2) ? s[int(m/2)] : (s[m/2-1] + s[m/2]) / 2
+        spread = sprintf(", \"ns_median\": %.1f, \"ns_min\": %.1f, \"ns_max\": %.1f", med, s[0], s[m-1])
         extra = ""
         if (name in assign)
             extra = sprintf(", \"ns_per_assign\": %.1f", assign[name]/runs[name])
@@ -89,8 +100,8 @@ END {
             extra = extra sprintf(", \"p99_us\": %.1f", p99[name]/runs[name])
         if (!first) printf ",\n"
         first = 0
-        printf "    \"%s\": {\"ns_per_op\": %.1f, \"bytes_per_op\": %.1f, \"allocs_per_op\": %.1f%s, \"runs\": %d}", \
-            name, ns[name]/runs[name], bytes[name]/runs[name], allocs[name]/runs[name], extra, runs[name]
+        printf "    \"%s\": {\"ns_per_op\": %.1f%s, \"bytes_per_op\": %.1f, \"allocs_per_op\": %.1f%s, \"runs\": %d}", \
+            name, ns[name]/runs[name], spread, bytes[name]/runs[name], allocs[name]/runs[name], extra, runs[name]
     }
     printf "\n  }\n}\n"
 }' "$raw" > "$fresh"
