@@ -30,6 +30,7 @@ import (
 	"repro/internal/rules"
 	"repro/internal/sampling"
 	"repro/internal/server"
+	"repro/internal/treedec"
 	"repro/internal/wal"
 )
 
@@ -117,6 +118,58 @@ func BenchmarkPrepareCold(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// layerSink keeps BenchmarkPrepareLayers' results live, so no stage call can
+// be optimized away.
+var layerSink any
+
+// BenchmarkPrepareLayers times Prepare's structure stages one by one on the
+// plan-cold instance shape (R·S·T over a random partial k-tree, as in
+// BenchmarkPrepareCold): the joint instance+event graph, its elimination
+// decomposition, the nice form, and the whole PrepareCQ those stages feed
+// (homing, colouring, determinization and the row-program compile
+// included). Each stage reads the previous stage's output, built once
+// outside the timed loop.
+func BenchmarkPrepareLayers(b *testing.B) {
+	q := rel.HardQuery()
+	for _, k := range []int{1, 2} {
+		n := 40
+		r := rand.New(rand.NewSource(int64(100*k + n)))
+		g, _ := gen.PartialKTree(n, k, 0.8, r)
+		c, _ := gen.RSTOverGraph(g, 0.01, 0.1, r).ToCInstance()
+		joint, _, _ := core.JointEventGraph(c, nil)
+		d := treedec.Decompose(joint, core.Options{}.Heuristic)
+		suffix := fmt.Sprintf("w=%d/n=%d", k, n)
+		b.Run("joint/"+suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				layerSink, _, _ = core.JointEventGraph(c, nil)
+			}
+		})
+		b.Run("decompose/"+suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				layerSink = treedec.Decompose(joint, core.Options{}.Heuristic)
+			}
+		})
+		b.Run("nice/"+suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				layerSink = treedec.MakeNice(d)
+			}
+		})
+		b.Run("prepare/"+suffix, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pl, err := core.PrepareCQ(c, q, core.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				layerSink = pl
+			}
+		})
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/pdb"
@@ -53,22 +55,63 @@ func JointEventGraph(c *pdb.CInstance, di *rel.DomainIndex) (g *treedec.Graph, e
 	if di == nil {
 		di = c.Inst.IndexDomain()
 	}
-	events = c.Events()
-	nDom := len(di.Names)
-	g = treedec.NewGraph(nDom + len(events))
-	eventVertex = make(map[logic.Event]int, len(events))
-	for i, e := range events {
-		eventVertex[e] = nDom + i
+	j := buildJoint(c, di)
+	eventVertex = make(map[logic.Event]int, len(j.events))
+	for e, i := range j.eventIdx {
+		eventVertex[e] = j.nDom + i
 	}
-	scopes := c.Inst.FactScopes(di)
-	for fi, scope := range scopes {
-		full := append([]int(nil), scope...)
-		for _, e := range logic.Vars(c.Ann[fi]) {
-			full = append(full, eventVertex[e])
+	return j.g, j.events, eventVertex
+}
+
+// jointGraph is the joint instance+event graph of a pc-instance together
+// with what building it computed per fact, so Prepare reads each fact's
+// scope and annotation events once.
+type jointGraph struct {
+	g        *treedec.Graph
+	nDom     int
+	events   []logic.Event       // sorted; event i is vertex nDom+i
+	eventIdx map[logic.Event]int // event -> index into events
+	// scopes[fi] is fact fi's clique: its argument vertices, then the
+	// vertices of its annotation's events. Both parts are sorted and every
+	// event vertex lies above every domain vertex, so the whole scope is
+	// sorted. The scopes share one backing array.
+	scopes [][]int
+}
+
+// buildJoint builds the joint graph of c over the domain index di.
+func buildJoint(c *pdb.CInstance, di *rel.DomainIndex) jointGraph {
+	j := jointGraph{nDom: len(di.Names), events: c.Events()}
+	j.eventIdx = make(map[logic.Event]int, len(j.events))
+	for i, e := range j.events {
+		j.eventIdx[e] = i
+	}
+	args := c.Inst.FactScopes(di)
+	// One entry per argument and, for a TID's single-event annotations, one
+	// per fact: exact there, and a starting size elsewhere.
+	size := len(args)
+	for _, a := range args {
+		size += len(a)
+	}
+	slab := make([]int, 0, size)
+	j.scopes = make([][]int, len(args))
+	var vars []logic.Event
+	for fi, a := range args {
+		start := len(slab)
+		slab = append(slab, a...)
+		mid := len(slab)
+		vars = logic.AppendVars(vars[:0], c.Ann[fi])
+		for _, e := range vars {
+			if v := j.nDom + j.eventIdx[e]; !slices.Contains(slab[mid:], v) {
+				slab = append(slab, v)
+			}
 		}
-		g.AddClique(full)
+		slices.Sort(slab[mid:])
+		if len(slab) > start {
+			j.scopes[fi] = slab[start:len(slab):len(slab)]
+		}
 	}
-	return g, events, eventVertex
+	j.g = treedec.NewGraphFromCliques(j.nDom+len(j.events), j.scopes)
+	return j
 }
 
 // EvaluatePC runs the determinized automaton q over the pc-instance (c, p)

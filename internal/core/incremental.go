@@ -285,7 +285,8 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 			if dp == nil {
 				dp = newDetPass(m.pl) // this commit's structural scratch
 			}
-			m.layouts[t], np = dp.compileNodeProg(t, m.layouts)
+			np = new(nodeProg)
+			m.layouts[t] = dp.compileNodeProg(t, m.layouts, np, nil)
 			m.progs[t] = np
 			recompiled = true
 		}
@@ -465,22 +466,31 @@ type deltaIdx struct {
 // csr32 builds a stable CSR over n buckets from m entries: key(i) gives
 // entry i's bucket, and fill is called with each entry's slot in key order
 // (entries of one bucket keep their original relative order, which is what
-// makes per-row re-accumulation bit-identical to the full program run).
-func csr32(n, m int, key func(int) int32, fill func(entry, slot int)) []int32 {
-	start := make([]int32, n+1)
+// makes per-row re-accumulation bit-identical to the full program run). The
+// bucket starts are written into start when its capacity allows (nil
+// allocates them), so a caller building many indexes can reuse one array.
+func csr32(start []int32, n, m int, key func(int) int32, fill func(entry, slot int)) []int32 {
+	if cap(start) < n+1 {
+		start = make([]int32, n+1)
+	} else {
+		start = start[:n+1]
+		clear(start)
+	}
 	for i := 0; i < m; i++ {
 		start[key(i)+1]++
 	}
 	for b := 0; b < n; b++ {
 		start[b+1] += start[b]
 	}
-	next := make([]int32, n)
-	copy(next, start[:n])
+	// start[b] serves as bucket b's fill cursor; each stops where bucket
+	// b+1 begins, so shifting the cursors up by one restores the starts.
 	for i := 0; i < m; i++ {
 		b := key(i)
-		fill(i, int(next[b]))
-		next[b]++
+		fill(i, int(start[b]))
+		start[b]++
 	}
+	copy(start[1:], start[:n])
+	start[0] = 0
 	return start
 }
 
@@ -491,11 +501,11 @@ func (np *nodeProg) buildDeltaIdx(nc0, nc1 int) *deltaIdx {
 	switch np.kind {
 	case pkUnary:
 		di.src0Dst = make([]int32, len(np.edges))
-		di.src0Start = csr32(nc0, len(np.edges),
+		di.src0Start = csr32(nil, nc0, len(np.edges),
 			func(i int) int32 { return np.edges[i].src },
 			func(i, s int) { di.src0Dst[s] = np.edges[i].dst })
 		di.dstSrc = make([]int32, len(np.edges))
-		di.dstStart = csr32(np.rows, len(np.edges),
+		di.dstStart = csr32(nil, np.rows, len(np.edges),
 			func(i int) int32 { return np.edges[i].dst },
 			func(i, s int) { di.dstSrc[s] = np.edges[i].src })
 	case pkForgetEvent:
@@ -510,25 +520,25 @@ func (np *nodeProg) buildDeltaIdx(nc0, nc1 int) *deltaIdx {
 			return np.e0[i-n1], 1
 		}
 		di.src0Dst = make([]int32, n)
-		di.src0Start = csr32(nc0, n,
+		di.src0Start = csr32(nil, nc0, n,
 			func(i int) int32 { e, _ := at(i); return e.src },
 			func(i, s int) { e, _ := at(i); di.src0Dst[s] = e.dst })
 		di.dstSrc = make([]int32, n)
-		di.dstStart = csr32(np.rows, n,
+		di.dstStart = csr32(nil, np.rows, n,
 			func(i int) int32 { e, _ := at(i); return e.dst },
 			func(i, s int) { e, k := at(i); di.dstSrc[s] = e.src<<1 | k })
 	case pkJoin:
 		di.src0Dst = make([]int32, len(np.joins))
-		di.src0Start = csr32(nc0, len(np.joins),
+		di.src0Start = csr32(nil, nc0, len(np.joins),
 			func(i int) int32 { return np.joins[i].l },
 			func(i, s int) { di.src0Dst[s] = np.joins[i].dst })
 		di.src1Dst = make([]int32, len(np.joins))
-		di.src1Start = csr32(nc1, len(np.joins),
+		di.src1Start = csr32(nil, nc1, len(np.joins),
 			func(i int) int32 { return np.joins[i].r },
 			func(i, s int) { di.src1Dst[s] = np.joins[i].dst })
 		di.dstL = make([]int32, len(np.joins))
 		di.dstR = make([]int32, len(np.joins))
-		di.dstStart = csr32(np.rows, len(np.joins),
+		di.dstStart = csr32(nil, np.rows, len(np.joins),
 			func(i int) int32 { return np.joins[i].dst },
 			func(i, s int) { di.dstL[s], di.dstR[s] = np.joins[i].l, np.joins[i].r })
 	}

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core/kernel"
@@ -216,26 +216,20 @@ type setInterner struct {
 // EmitLineage makes (*Plan).Result build the d-DNNF lineage on every call.
 func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 	di := c.Inst.IndexDomain()
-	joint, events, eventVertex := JointEventGraph(c, di)
+	j := buildJoint(c, di)
 	d := opts.Joint
 	if d == nil {
-		d = treedec.Decompose(joint, opts.Heuristic)
-	} else if err := d.Validate(joint); err != nil {
+		d = treedec.Decompose(j.g, opts.Heuristic)
+	} else if err := d.Validate(j.g); err != nil {
 		return nil, fmt.Errorf("core: supplied joint decomposition invalid: %w", err)
 	}
 	nice := treedec.MakeNice(d)
-	nDom := len(di.Names)
+	nDom := j.nDom
 	colour := nice.Colour(nDom)
 
 	// Event valuations are tracked in a 64-bit mask per table row.
 	for _, nd := range nice.Nodes {
-		evs := 0
-		for _, v := range nd.Bag {
-			if v >= nDom {
-				evs++
-			}
-		}
-		if evs > 60 {
+		if evs := countEvents(nd.Bag, nDom); evs > 60 {
 			return nil, fmt.Errorf("core: a bag holds %d events; the joint width is too large for exact evaluation", evs)
 		}
 	}
@@ -243,7 +237,7 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 	pl := &Plan{
 		q:           q,
 		emitLineage: opts.EmitLineage,
-		events:      events,
+		events:      j.events,
 		nDom:        nDom,
 		width:       d.Width(),
 		post:        nice.PostOrder(),
@@ -257,19 +251,7 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 	}
 
 	// Home every fact at a nice node covering its args and events.
-	scopes := c.Inst.FactScopes(di)
-	fullScopes := make([][]int, len(scopes))
-	annVars := make([][]logic.Event, c.NumFacts())
-	for fi, scope := range scopes {
-		vars := logic.Vars(c.Ann[fi])
-		annVars[fi] = vars
-		full := append([]int(nil), scope...)
-		for _, e := range vars {
-			full = append(full, eventVertex[e])
-		}
-		fullScopes[fi] = full
-	}
-	assign, err := nice.AssignScopes(fullScopes)
+	assign, err := nice.AssignScopes(j.scopes)
 	if err != nil {
 		return nil, fmt.Errorf("core: cannot home facts in decomposition: %w", err)
 	}
@@ -290,8 +272,7 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 		case treedec.NiceIntroduce, treedec.NiceForget:
 			if nd.Vertex >= nDom {
 				pn.isEvent = true
-				childEvs := bagEventVertices(nice.Nodes[nd.Children[0]].Bag, nDom)
-				pn.pos = eventPosition(childEvs, nd.Vertex, nd.Kind == treedec.NiceIntroduce)
+				pn.pos = eventPosition(nice.Nodes[nd.Children[0]].Bag, nDom, nd.Vertex, nd.Kind == treedec.NiceIntroduce)
 				if nd.Kind == treedec.NiceForget {
 					pn.eventIdx = nd.Vertex - nDom
 				}
@@ -301,32 +282,46 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 		}
 		pl.nodes[t] = pn
 	}
-	var colourBuf []int
-	for fi, t := range assign {
-		bagEvs := bagEventVertices(nice.Nodes[t].Bag, nDom)
-		varBit := make(map[logic.Event]int, len(annVars[fi]))
-		for _, e := range annVars[fi] {
-			// All annotation events are in the bag by the homing invariant.
-			varBit[e] = eventPosition(bagEvs, eventVertex[e], false)
-		}
-		pl.nodes[t].facts = append(pl.nodes[t].facts, planFact{
-			sig: factSignature(q, c.Inst.Fact(fi), di, colour, &colourBuf),
-			cf:  logic.CompileMask(c.Ann[fi], varBit),
-		})
-	}
-
 	pl.nice = nice
 	pl.di = di
 	pl.colour = colour
-	pl.eventIdx = make(map[logic.Event]int, len(events))
-	for i, e := range events {
-		pl.eventIdx[e] = i
-	}
+	pl.eventIdx = j.eventIdx
+	pl.homeFacts(c, j, assign)
 	pl.rebuildTopology()
 	dp := newDetPass(pl)
 	pl.startSet = dp.internStrings(detStep(q, q.Start(), func(s string) []string { return []string{s} }))
 	pl.prog = dp.compileProgram()
 	return pl, nil
+}
+
+// homeFacts gives every node the facts assign homes there, in instance
+// order, carved from one slice: each fact's signature under the plan's
+// colouring and its annotation compiled against the node bag's event bits.
+func (pl *Plan) homeFacts(c *pdb.CInstance, j jointGraph, assign []int) {
+	facts := make([]planFact, len(assign))
+	var colourBuf []int
+	start := csr32(nil, len(pl.nodes), len(assign),
+		func(fi int) int32 { return int32(assign[fi]) },
+		func(fi, slot int) {
+			bag := pl.nice.Nodes[assign[fi]].Bag
+			// All annotation events are in the bag by the homing invariant.
+			bit := func(e logic.Event) (int, bool) {
+				i, ok := j.eventIdx[e]
+				if !ok {
+					return 0, false
+				}
+				return eventPosition(bag, j.nDom, j.nDom+i, false), true
+			}
+			facts[slot] = planFact{
+				sig: factSignature(pl.q, c.Inst.Fact(fi), pl.di, pl.colour, &colourBuf),
+				cf:  logic.CompileMaskFunc(c.Ann[fi], bit),
+			}
+		})
+	for t := range pl.nodes {
+		if lo, hi := start[t], start[t+1]; hi > lo {
+			pl.nodes[t].facts = facts[lo:hi:hi]
+		}
+	}
 }
 
 // rebuildTopology derives the parent pointers and the per-event forget-node
@@ -467,11 +462,18 @@ type detPass struct {
 	mark []uint64
 	gen  uint64
 
-	ids    []int32            // successor collection buffer
-	keyBuf []byte             // set key image (sets.ids, pruneCache)
-	strs   []string           // state strings of a set being pruned
-	slot   map[rowKey]int32   // compileNodeProg's row index, reused across nodes
-	byBits map[uint64][]int32 // a join's right rows by bits, reused across joins
+	ids    []int32  // successor collection buffer
+	keyBuf []byte   // set key image (sets.ids, pruneCache)
+	strs   []string // state strings of a set being pruned
+
+	// compileNodeProg's scratch, reused across nodes: the row index of the
+	// node being compiled and its layout under construction, and a join's
+	// right rows chained by bits (runs maps bits to the first row of its
+	// chain, runNext links each row to the next).
+	rows    rowTable
+	keys    []rowKey
+	runs    rowTable
+	runNext []int32
 
 	join   func(a, b string) (string, bool) // the query's Join, unmemoized when it can be
 	pruner bool                             // the query implements SetPruner
@@ -526,7 +528,7 @@ func (pm *pairMemo) insert(i int, key uint64, v int32) {
 }
 
 func newDetPass(pl *Plan) *detPass {
-	dp := &detPass{pl: pl, slot: map[rowKey]int32{}, byBits: map[uint64][]int32{}, join: pl.q.Join}
+	dp := &detPass{pl: pl, join: pl.q.Join}
 	if dj, ok := pl.q.(directJoiner); ok {
 		dp.join = dj.JoinDirect
 	}
@@ -814,25 +816,23 @@ func (pl *Plan) eval(p logic.Prob, emitLineage bool) (*Result, error) {
 
 // --- bit and position helpers ---
 
-// bagEventVertices returns the sorted event vertex ids present in a bag.
-func bagEventVertices(bag []int, nDom int) []int {
-	var evs []int
-	for _, v := range bag {
-		if v >= nDom {
-			evs = append(evs, v)
-		}
-	}
-	return evs
+// countEvents returns the number of event vertices (ids at or above nDom)
+// in a sorted bag.
+func countEvents(bag []int, nDom int) int {
+	i, _ := slices.BinarySearch(bag, nDom)
+	return len(bag) - i
 }
 
-// eventPosition locates the bit position of event vertex v in the bag event
-// list; when inserting, it returns the position the bit will occupy.
-func eventPosition(bagEvs []int, v int, inserting bool) int {
-	i := sort.SearchInts(bagEvs, v)
-	if !inserting && (i >= len(bagEvs) || bagEvs[i] != v) {
+// eventPosition locates the bit position of event vertex v among the event
+// vertices of a sorted bag; when inserting, it returns the position the bit
+// will occupy.
+func eventPosition(bag []int, nDom, v int, inserting bool) int {
+	lo, _ := slices.BinarySearch(bag, nDom)
+	i, found := slices.BinarySearch(bag, v)
+	if !inserting && !found {
 		panic("core: event vertex not in bag")
 	}
-	return i
+	return i - lo
 }
 
 func insertBit(bits uint64, pos int, value bool) uint64 {
@@ -885,7 +885,7 @@ func (pl *Plan) findAttach(f rel.Fact) (node int, err error) {
 	if t < 0 {
 		return -1, fmt.Errorf("core: no bag of the decomposition covers the arguments of %s", f)
 	}
-	if len(bagEventVertices(pl.nice.Nodes[t].Bag, pl.nDom)) >= 60 {
+	if countEvents(pl.nice.Nodes[t].Bag, pl.nDom) >= 60 {
 		return -1, fmt.Errorf("core: the covering bag of %s is at the event-bit budget", f)
 	}
 	return t, nil
@@ -934,7 +934,7 @@ func (pl *Plan) attachFact(f rel.Fact, e logic.Event) (intro, forget int, err er
 	sig := factSignature(pl.q, f, pl.di, pl.colour, &colourBuf)
 	eventIdx := len(pl.events)
 	v := pl.nDom + eventIdx // beyond every existing vertex: domain, then events in order
-	pos := len(bagEventVertices(bag, pl.nDom))
+	pos := countEvents(bag, pl.nDom)
 	pl.events = append(pl.events, e)
 	pl.eventIdx[e] = eventIdx
 

@@ -94,66 +94,68 @@ func (dp *detPass) factRemap(nd *planNode, k rowKey) rowKey {
 	return k
 }
 
-// compileNodeProg compiles the row program of node t against the given
-// child row layouts (layouts[c] is the key of child c's row i at index i)
-// and returns t's own layout alongside the program. Rows are laid out in
+// compileNodeProg compiles the row program of node t into np against the
+// given child row layouts (layouts[c] is the key of child c's row i at index
+// i) and returns t's own layout, built in buf's backing array when it is
+// large enough (with nil, in a fresh one, presized where the node's row
+// count is known or bounded by its child's). Rows are laid out in
 // first-encounter order over the deterministic child-layout iteration, so
 // recompiling a node whose children kept their layouts reproduces the same
 // layout. Memo misses determinize the transition on the spot; on a frozen
 // plan every lookup hits (Prepare's pass visited them all).
-func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodeProg) {
+func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey, np *nodeProg, buf []rowKey) []rowKey {
 	pl := dp.pl
 	nd := &pl.nodes[t]
-	np := &nodeProg{eventIdx: -1, in0: int32(nd.child0), in1: int32(nd.child1)}
-	var keys []rowKey
-	idx := dp.slot
-	clear(idx)
-	slot := func(k rowKey) int32 {
-		k = dp.factRemap(nd, k)
-		if i, ok := idx[k]; ok {
-			return i
-		}
-		i := int32(len(keys))
-		idx[k] = i
-		keys = append(keys, k)
-		return i
+	*np = nodeProg{eventIdx: -1, in0: int32(nd.child0), in1: int32(nd.child1)}
+	var child []rowKey
+	if nd.child0 >= 0 {
+		child = layouts[nd.child0]
 	}
+	want := 0 // the layout's row count, where known or bounded
+	switch {
+	case nd.kind == treedec.NiceIntroduce && nd.isEvent:
+		want = 2 * len(child)
+	case nd.kind == treedec.NiceIntroduce:
+		want = len(child)
+	case nd.kind == treedec.NiceForget && nd.isEvent:
+		want = len(child)/2 + 1
+	}
+	if cap(buf) < want {
+		buf = make([]rowKey, 0, want)
+	}
+	dp.keys = buf[:0]
+	dp.rows.reset(len(child))
 
 	switch nd.kind {
 	case treedec.NiceLeaf:
 		np.kind = pkLeaf
-		slot(rowKey{set: pl.startSet})
+		dp.slot(nd, rowKey{set: pl.startSet})
 
 	case treedec.NiceIntroduce:
 		np.kind = pkUnary
-		child := layouts[nd.child0]
 		if nd.isEvent {
 			pos := nd.pos
 			np.edges = make([]rpEdge, 0, 2*len(child))
-			keys = make([]rowKey, 0, 2*len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: slot(rowKey{set: k.set, bits: insertBit(k.bits, pos, false)})},
-					rpEdge{src: int32(si), dst: slot(rowKey{set: k.set, bits: insertBit(k.bits, pos, true)})})
+					rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, false)})},
+					rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, true)})})
 			}
 		} else {
 			np.edges = make([]rpEdge, 0, len(child))
-			keys = make([]rowKey, 0, len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: slot(rowKey{set: dp.stepSet(opIntroduce, nd.colour, k.set), bits: k.bits})})
+					rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: dp.stepSet(opIntroduce, nd.colour, k.set), bits: k.bits})})
 			}
 		}
 
 	case treedec.NiceForget:
-		child := layouts[nd.child0]
 		if nd.isEvent {
 			np.kind = pkForgetEvent
 			np.eventIdx = nd.eventIdx
 			pos := nd.pos
-			keys = make([]rowKey, 0, len(child)/2+1)
 			for si, k := range child {
-				e := rpEdge{src: int32(si), dst: slot(rowKey{set: k.set, bits: removeBit(k.bits, pos)})}
+				e := rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: k.set, bits: removeBit(k.bits, pos)})}
 				if k.bits&(1<<uint(pos)) != 0 {
 					np.e1 = append(np.e1, e)
 				} else {
@@ -165,47 +167,155 @@ func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey) ([]rowKey, *nodePr
 			np.edges = make([]rpEdge, 0, len(child))
 			for si, k := range child {
 				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: slot(rowKey{set: dp.stepSet(opForget, nd.colour, k.set), bits: k.bits})})
+					rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: dp.stepSet(opForget, nd.colour, k.set), bits: k.bits})})
 			}
 		}
 
 	case treedec.NiceJoin:
 		np.kind = pkJoin
-		left, right := layouts[nd.child0], layouts[nd.child1]
+		left, right := child, layouts[nd.child1]
 		// In-bag events are shared between the children, so only rows with
-		// equal bits combine: index the right layout by bits once, then each
-		// left row joins against its (usually tiny) matching run — a linear
-		// merge instead of the quadratic all-pairs scan.
-		byBits := dp.byBits
-		clear(byBits)
-		for ri, k := range right {
-			byBits[k.bits] = append(byBits[k.bits], int32(ri))
+		// equal bits combine: chain the right rows of each bits value once,
+		// in ascending order, then each left row joins against its (usually
+		// tiny) matching run — a linear merge instead of the quadratic
+		// all-pairs scan.
+		dp.runs.reset(len(right))
+		dp.runNext = grow(dp.runNext, len(right))
+		for ri := len(right) - 1; ri >= 0; ri-- {
+			k := rowKey{bits: right[ri].bits}
+			if i, found := dp.runs.find(k); found {
+				dp.runNext[ri], dp.runs.vals[i] = dp.runs.vals[i], int32(ri)
+			} else {
+				dp.runNext[ri] = -1
+				dp.runs.insert(i, k, int32(ri))
+			}
 		}
 		for li, lk := range left {
-			for _, ri := range byBits[lk.bits] {
+			i, found := dp.runs.find(rowKey{bits: lk.bits})
+			if !found {
+				continue
+			}
+			for ri := dp.runs.vals[i]; ri >= 0; ri = dp.runNext[ri] {
 				np.joins = append(np.joins, rpJoin{
 					l: int32(li), r: ri,
-					dst: slot(rowKey{set: dp.joinSets(lk.set, right[ri].set), bits: lk.bits}),
+					dst: dp.slot(nd, rowKey{set: dp.joinSets(lk.set, right[ri].set), bits: lk.bits}),
 				})
 			}
 		}
 	}
+	keys := dp.keys
+	dp.keys = nil
 	np.rows = len(keys)
-	return keys, np
+	return keys
+}
+
+// slot returns the row of node nd's table that row key k (before the
+// node's fact transitions) lands in, appending a new row to the layout
+// under construction on first encounter.
+func (dp *detPass) slot(nd *planNode, k rowKey) int32 {
+	k = dp.factRemap(nd, k)
+	i, found := dp.rows.find(k)
+	if found {
+		return dp.rows.vals[i]
+	}
+	r := int32(len(dp.keys))
+	dp.rows.insert(i, k, r)
+	dp.keys = append(dp.keys, k)
+	return r
+}
+
+// rowTable is a flat open-addressing hash table from row keys to int32
+// values (linear probing), emptied in O(1) between nodes by a generation
+// stamp: an entry whose stamp is not the current generation is free. One
+// table serves every node of a structural pass, so the per-node row index
+// costs neither a map nor a clear.
+type rowTable struct {
+	keys  []rowKey
+	vals  []int32
+	stamp []uint32
+	gen   uint32
+	n     int
+	shift uint8 // 64 - log2(len(keys))
+}
+
+// reset empties the table and makes room for about hint entries.
+func (rt *rowTable) reset(hint int) {
+	rt.n = 0
+	if rt.gen++; rt.gen == 0 { // wrapped: stale stamps could read as current
+		clear(rt.stamp)
+		rt.gen = 1
+	}
+	if size := len(rt.keys); size == 0 || 2*hint > size {
+		rt.resize(max(64, 2*hint))
+	}
+}
+
+// resize reallocates the table with at least size slots, rehashing the
+// current generation's entries.
+func (rt *rowTable) resize(size int) {
+	n := 1
+	shift := uint8(64)
+	for n < size {
+		n <<= 1
+		shift--
+	}
+	keys, vals, stamp := rt.keys, rt.vals, rt.stamp
+	rt.keys, rt.vals, rt.stamp, rt.shift = make([]rowKey, n), make([]int32, n), make([]uint32, n), shift
+	for j := range keys {
+		if stamp[j] == rt.gen {
+			i, _ := rt.find(keys[j])
+			rt.keys[i], rt.vals[i], rt.stamp[i] = keys[j], vals[j], rt.gen
+		}
+	}
+}
+
+// find returns the slot of k: where it is stored, or where it would be
+// inserted.
+func (rt *rowTable) find(k rowKey) (int, bool) {
+	mask := len(rt.keys) - 1
+	h := (uint64(uint32(k.set))*0x9E3779B97F4A7C15 ^ k.bits) * 0xBF58476D1CE4E5B9
+	for i := int(h >> rt.shift); ; i = (i + 1) & mask {
+		if rt.stamp[i] != rt.gen {
+			return i, false
+		}
+		if rt.keys[i] == k {
+			return i, true
+		}
+	}
+}
+
+// insert stores k → v in the free slot i that find returned, doubling the
+// table once it is half full.
+func (rt *rowTable) insert(i int, k rowKey, v int32) {
+	rt.keys[i], rt.vals[i], rt.stamp[i] = k, v, rt.gen
+	if rt.n++; 2*rt.n > len(rt.keys) {
+		rt.resize(2 * len(rt.keys))
+	}
 }
 
 // compileProgram compiles every node of the plan in one structural pass and
-// fuses away the plain-unary copy chains.
+// fuses away the plain-unary copy chains. The node programs share one
+// array, and each child's layout, once its parent has consumed it, is
+// recycled as the backing array of a later node's layout.
 func (dp *detPass) compileProgram() *rowProgram {
 	pl := dp.pl
 	layouts := make([][]rowKey, len(pl.nodes))
+	progs := make([]nodeProg, len(pl.nodes))
 	prog := &rowProgram{nodes: make([]*nodeProg, len(pl.nodes))}
+	var free [][]rowKey
 	for _, t := range pl.post {
-		layouts[t], prog.nodes[t] = dp.compileNodeProg(t, layouts)
+		var buf []rowKey
+		if n := len(free); n > 0 {
+			buf, free = free[n-1], free[:n-1]
+		}
+		prog.nodes[t] = &progs[t]
+		layouts[t] = dp.compileNodeProg(t, layouts, &progs[t], buf)
 		// This node is the only consumer of its children's layouts.
 		if nd := &pl.nodes[t]; nd.child0 >= 0 {
+			free = append(free, layouts[nd.child0])
 			layouts[nd.child0] = nil
 			if nd.child1 >= 0 {
+				free = append(free, layouts[nd.child1])
 				layouts[nd.child1] = nil
 			}
 		}
@@ -236,6 +346,7 @@ func (dp *detPass) compileProgram() *rowProgram {
 // multiplies edge lists; a fold that would blow the parent's edge count past
 // a small multiple is skipped (the node then simply stays materialized).
 func (rp *rowProgram) fuseUnaryChains(post []int, root int) {
+	var f fuser
 	for _, t := range post {
 		if t == root {
 			continue // the root block is the program's output
@@ -244,79 +355,100 @@ func (rp *rowProgram) fuseUnaryChains(post []int, root int) {
 		if np.dead {
 			continue
 		}
-		rp.fuseInput(np, &np.in0, true)
+		f.fuseInput(rp, np, &np.in0, true)
 		if np.kind == pkJoin {
-			rp.fuseInput(np, &np.in1, false)
+			f.fuseInput(rp, np, &np.in1, false)
 		}
 	}
+}
+
+// fuser is the scratch of one fusion pass: the inverted edge index of the
+// unary child being folded, rebuilt in place for every fold. The child-input
+// rows feeding child row d are invSrc[invStart[d]:invStart[d+1]].
+type fuser struct {
+	invSrc   []int32
+	invStart []int32
+}
+
+// invert builds the inverted edge index of a pkUnary program, listing each
+// row's sources in edge order.
+func (f *fuser) invert(child *nodeProg) {
+	f.invSrc = grow(f.invSrc[:0], len(child.edges))
+	f.invStart = csr32(f.invStart, child.rows, len(child.edges),
+		func(i int) int32 { return child.edges[i].dst },
+		func(i, s int) { f.invSrc[s] = child.edges[i].src })
+}
+
+// inv returns the child-input rows feeding child row d.
+func (f *fuser) inv(d int32) []int32 { return f.invSrc[f.invStart[d]:f.invStart[d+1]] }
+
+// project returns the edge count substituting the inverted child into edges
+// yields, and whether it stays within the fold's growth bound.
+func (f *fuser) project(edges []rpEdge) (int, bool) {
+	n := 0
+	for _, e := range edges {
+		n += len(f.inv(e.src))
+	}
+	return n, n <= 2*len(edges)+16
+}
+
+// substEdges returns edges with every source row replaced by the child-input
+// rows feeding it.
+func (f *fuser) substEdges(edges []rpEdge, n int) []rpEdge {
+	out := make([]rpEdge, 0, n)
+	for _, e := range edges {
+		for _, cs := range f.inv(e.src) {
+			out = append(out, rpEdge{src: cs, dst: e.dst})
+		}
+	}
+	return out
 }
 
 // fuseInput folds the pkUnary chain feeding one input of np (left when
 // isLeft, the join's right otherwise), rewriting the matching source-index
 // lists in place.
-func (rp *rowProgram) fuseInput(np *nodeProg, in *int32, isLeft bool) {
+func (f *fuser) fuseInput(rp *rowProgram, np *nodeProg, in *int32, isLeft bool) {
 	for *in >= 0 {
 		child := rp.nodes[*in]
 		if child.kind != pkUnary || child.dead {
 			return
 		}
-		// Invert the child's edges: the child-input rows feeding child row d
-		// are invSrc[invStart[d]:invStart[d+1]].
-		invSrc := make([]int32, len(child.edges))
-		invStart := csr32(child.rows, len(child.edges),
-			func(i int) int32 { return child.edges[i].dst },
-			func(i, s int) { invSrc[s] = child.edges[i].src })
-		inv := func(d int32) []int32 { return invSrc[invStart[d]:invStart[d+1]] }
-		project := func(edges []rpEdge) (int, bool) {
-			n := 0
-			for _, e := range edges {
-				n += len(inv(e.src))
-			}
-			return n, n <= 2*len(edges)+16
-		}
-		substEdges := func(edges []rpEdge) []rpEdge {
-			out := make([]rpEdge, 0, len(edges))
-			for _, e := range edges {
-				for _, cs := range inv(e.src) {
-					out = append(out, rpEdge{src: cs, dst: e.dst})
-				}
-			}
-			return out
-		}
+		f.invert(child)
 		switch np.kind {
 		case pkUnary:
-			if _, ok := project(np.edges); !ok {
+			n, ok := f.project(np.edges)
+			if !ok {
 				return
 			}
-			np.edges = substEdges(np.edges)
+			np.edges = f.substEdges(np.edges, n)
 		case pkForgetEvent:
-			n0, ok0 := project(np.e0)
-			n1, ok1 := project(np.e1)
+			n0, ok0 := f.project(np.e0)
+			n1, ok1 := f.project(np.e1)
 			if !ok0 || !ok1 || n0+n1 > 2*(len(np.e0)+len(np.e1))+16 {
 				return
 			}
-			np.e0 = substEdges(np.e0)
-			np.e1 = substEdges(np.e1)
+			np.e0 = f.substEdges(np.e0, n0)
+			np.e1 = f.substEdges(np.e1, n1)
 		case pkJoin:
 			n := 0
 			for _, j := range np.joins {
 				if isLeft {
-					n += len(inv(j.l))
+					n += len(f.inv(j.l))
 				} else {
-					n += len(inv(j.r))
+					n += len(f.inv(j.r))
 				}
 			}
 			if n > 2*len(np.joins)+16 {
 				return
 			}
-			out := make([]rpJoin, 0, len(np.joins))
+			out := make([]rpJoin, 0, n)
 			for _, j := range np.joins {
 				if isLeft {
-					for _, cs := range inv(j.l) {
+					for _, cs := range f.inv(j.l) {
 						out = append(out, rpJoin{l: cs, r: j.r, dst: j.dst})
 					}
 				} else {
-					for _, cs := range inv(j.r) {
+					for _, cs := range f.inv(j.r) {
 						out = append(out, rpJoin{l: j.l, r: cs, dst: j.dst})
 					}
 				}
@@ -326,6 +458,7 @@ func (rp *rowProgram) fuseInput(np *nodeProg, in *int32, isLeft bool) {
 			return
 		}
 		child.dead = true
+		child.edges = nil // the sweep skips dead programs; keep no copy of the folded edges
 		*in = child.in0
 	}
 }

@@ -184,22 +184,19 @@ func PrepareSharded(c *pdb.CInstance, q rel.CQ, opts Options) (*ShardedPlan, err
 	}
 
 	di := c.Inst.IndexDomain()
-	joint, _, eventVertex := JointEventGraph(c, di)
-	part := treedec.Components(joint)
+	j := buildJoint(c, di)
+	part := treedec.Components(j.g)
 
 	// Assign every fact to the component of its full scope (arguments plus
 	// annotation events — one clique, hence one component). Facts with an
 	// empty scope (0-ary, event-free) anchor to no vertex; they share one
 	// extra shard of their own.
-	scopes := c.Inst.FactScopes(di)
 	factComp := make([]int, c.NumFacts())
 	floating := false
-	for fi, scope := range scopes {
+	for fi, scope := range j.scopes {
 		comp := -1
 		if len(scope) > 0 {
 			comp = part.Comp[scope[0]]
-		} else if vars := logic.Vars(c.Ann[fi]); len(vars) > 0 {
-			comp = part.Comp[eventVertex[vars[0]]]
 		} else {
 			floating = true
 		}
@@ -223,8 +220,10 @@ func PrepareSharded(c *pdb.CInstance, q rel.CQ, opts Options) (*ShardedPlan, err
 		}
 		sp.subC[k].Add(c.Inst.Fact(fi), c.Ann[fi])
 		sp.factShard[fi] = k
-		for _, e := range logic.Vars(c.Ann[fi]) {
-			sp.eventShard[e] = k
+		for _, v := range j.scopes[fi] {
+			if v >= j.nDom {
+				sp.eventShard[j.events[v-j.nDom]] = k
+			}
 		}
 	}
 	if floating {

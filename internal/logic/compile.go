@@ -41,6 +41,15 @@ const (
 // event of f is missing from varBit or its bit index is out of range; both
 // indicate a caller bug.
 func CompileMask(f Formula, varBit map[Event]int) *CompiledFormula {
+	return CompileMaskFunc(f, func(e Event) (int, bool) {
+		bit, ok := varBit[e]
+		return bit, ok
+	})
+}
+
+// CompileMaskFunc is CompileMask with the event→bit mapping given as a
+// function, for callers that can compute a bit without building a map.
+func CompileMaskFunc(f Formula, varBit func(Event) (int, bool)) *CompiledFormula {
 	cf := &CompiledFormula{}
 	cf.compile(f, varBit)
 	// Record the program's maximum stack depth so Eval can pick a local
@@ -61,7 +70,7 @@ func CompileMask(f Formula, varBit map[Event]int) *CompiledFormula {
 	return cf
 }
 
-func (cf *CompiledFormula) compile(f Formula, varBit map[Event]int) {
+func (cf *CompiledFormula) compile(f Formula, varBit func(Event) (int, bool)) {
 	switch g := f.(type) {
 	case constFormula:
 		if bool(g) {
@@ -70,7 +79,7 @@ func (cf *CompiledFormula) compile(f Formula, varBit map[Event]int) {
 			cf.ops = append(cf.ops, compiledOp{kind: opConstFalse})
 		}
 	case varFormula:
-		bit, ok := varBit[Event(g)]
+		bit, ok := varBit(Event(g))
 		if !ok || bit < 0 || bit > 63 {
 			panic(fmt.Sprintf("logic: CompileMask has no bit for event %q", Event(g)))
 		}

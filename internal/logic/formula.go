@@ -1,7 +1,7 @@
 package logic
 
 import (
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -13,8 +13,8 @@ import (
 type Formula interface {
 	// Eval returns the truth value of the formula under v.
 	Eval(v Valuation) bool
-	// collectVars adds every event occurring in the formula to set.
-	collectVars(set map[Event]struct{})
+	// appendVars appends every occurrence of an event in the formula to dst.
+	appendVars(dst []Event) []Event
 	// write renders the formula into sb; prec is the precedence of the
 	// enclosing operator, used to decide parenthesization.
 	write(sb *strings.Builder, prec int)
@@ -135,34 +135,35 @@ func (o orFormula) Eval(v Valuation) bool {
 	return false
 }
 
-func (constFormula) collectVars(map[Event]struct{}) {}
-func (e varFormula) collectVars(set map[Event]struct{}) {
-	set[Event(e)] = struct{}{}
-}
-func (n notFormula) collectVars(set map[Event]struct{}) { n.f.collectVars(set) }
-func (a andFormula) collectVars(set map[Event]struct{}) {
+func (constFormula) appendVars(dst []Event) []Event { return dst }
+func (e varFormula) appendVars(dst []Event) []Event { return append(dst, Event(e)) }
+func (n notFormula) appendVars(dst []Event) []Event { return n.f.appendVars(dst) }
+func (a andFormula) appendVars(dst []Event) []Event {
 	for _, f := range a.fs {
-		f.collectVars(set)
+		dst = f.appendVars(dst)
 	}
+	return dst
 }
-func (o orFormula) collectVars(set map[Event]struct{}) {
+func (o orFormula) appendVars(dst []Event) []Event {
 	for _, f := range o.fs {
-		f.collectVars(set)
+		dst = f.appendVars(dst)
 	}
+	return dst
 }
+
+// AppendVars appends the events occurring in f to dst, in occurrence order
+// and with repeats, and returns the extended slice: the allocation-free form
+// of Vars for callers that reuse one buffer across many formulas.
+func AppendVars(dst []Event, f Formula) []Event { return f.appendVars(dst) }
 
 // Vars returns the sorted list of events occurring in the formulas.
 func Vars(fs ...Formula) []Event {
-	set := make(map[Event]struct{})
+	var events []Event
 	for _, f := range fs {
-		f.collectVars(set)
+		events = f.appendVars(events)
 	}
-	events := make([]Event, 0, len(set))
-	for e := range set {
-		events = append(events, e)
-	}
-	sort.Slice(events, func(i, j int) bool { return events[i] < events[j] })
-	return events
+	slices.Sort(events)
+	return slices.Clone(slices.Compact(events)) // exactly sized: callers keep it
 }
 
 func (c constFormula) write(sb *strings.Builder, _ int) {

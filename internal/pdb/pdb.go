@@ -18,6 +18,7 @@ package pdb
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -110,7 +111,7 @@ func (t *TID) NumFacts() int { return t.Inst.NumFacts() }
 // EventOf returns the canonical event name for fact i ("f<i>"), used when
 // translating to c- or pcc-instances.
 func (t *TID) EventOf(i int) logic.Event {
-	return logic.Event(fmt.Sprintf("f%d", i))
+	return logic.Event("f" + strconv.Itoa(i))
 }
 
 // EventProb returns the event probability map of the canonical translation.
@@ -192,11 +193,17 @@ func (t *TID) Treewidth() int { return t.Inst.Treewidth() }
 // ToCInstance translates the TID into a c-instance with one fresh event per
 // fact, plus the matching probability map (making it a pc-instance).
 func (t *TID) ToCInstance() (*CInstance, logic.Prob) {
-	c := NewCInstance()
-	for i := 0; i < t.NumFacts(); i++ {
-		c.Add(t.Inst.Fact(i), logic.Var(t.EventOf(i)))
+	n := t.NumFacts()
+	c := &CInstance{Inst: rel.NewInstance(), Ann: make([]logic.Formula, 0, n)}
+	p := make(logic.Prob, n)
+	for i := 0; i < n; i++ {
+		// Each event name is rendered once, for the annotation and the
+		// probability map alike, and each fact keeps its cached key.
+		e := t.EventOf(i)
+		c.annotate(c.Inst.AddFrom(t.Inst, i), logic.Var(e))
+		p[e] = t.Probs[i]
 	}
-	return c, t.EventProb()
+	return c, p
 }
 
 // CInstance is a c-instance: facts annotated with propositional formulas
@@ -215,7 +222,12 @@ func NewCInstance() *CInstance {
 // Add inserts a fact with annotation ann and returns its index. Re-adding an
 // existing fact disjoins the annotations (set semantics for facts).
 func (c *CInstance) Add(f rel.Fact, ann logic.Formula) int {
-	i := c.Inst.Add(f)
+	return c.annotate(c.Inst.Add(f), ann)
+}
+
+// annotate records ann for the fact just added at index i: a new fact takes
+// it, a re-added one disjoins it with its annotation.
+func (c *CInstance) annotate(i int, ann logic.Formula) int {
 	if i == len(c.Ann) {
 		c.Ann = append(c.Ann, ann)
 	} else {

@@ -6,6 +6,7 @@ package rel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -214,34 +215,30 @@ func (in *Instance) GaifmanGraph(di *DomainIndex) *treedec.Graph {
 	if di == nil {
 		di = in.IndexDomain()
 	}
-	g := treedec.NewGraph(len(di.Names))
-	for _, f := range in.facts {
-		scope := make([]int, 0, len(f.Args))
-		for _, a := range f.Args {
-			scope = append(scope, di.ByName[a])
-		}
-		g.AddClique(scope)
-	}
-	return g
+	return treedec.NewGraphFromCliques(len(di.Names), in.FactScopes(di))
 }
 
 // FactScopes returns, for each fact, its argument vertices under di
 // (deduplicated). These are the clique scopes handed to
 // treedec.Nice.AssignScopes.
 func (in *Instance) FactScopes(di *DomainIndex) [][]int {
+	n := 0
+	for _, f := range in.facts {
+		n += len(f.Args)
+	}
+	slab := make([]int, 0, n)
 	scopes := make([][]int, len(in.facts))
 	for i, f := range in.facts {
-		seen := map[int]struct{}{}
-		var scope []int
+		start := len(slab)
 		for _, a := range f.Args {
-			v := di.ByName[a]
-			if _, dup := seen[v]; !dup {
-				seen[v] = struct{}{}
-				scope = append(scope, v)
+			if v := di.ByName[a]; !slices.Contains(slab[start:], v) {
+				slab = append(slab, v)
 			}
 		}
-		sort.Ints(scope)
-		scopes[i] = scope
+		if len(slab) > start {
+			slices.Sort(slab[start:])
+			scopes[i] = slab[start:len(slab):len(slab)]
+		}
 	}
 	return scopes
 }

@@ -37,6 +37,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -44,6 +45,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -392,6 +394,108 @@ type batchRequest struct {
 	Parallel bool `json:"parallel,omitempty"`
 }
 
+// batchBody is how handleBatch decodes a batchRequest: each lane's
+// assignment decodes straight into store fact ids, with no intermediate
+// string-keyed map.
+type batchBody struct {
+	Query       string          `json:"query"`
+	Assignments []laneOverrides `json:"assignments"`
+	Parallel    bool            `json:"parallel,omitempty"`
+}
+
+// laneOverrides is one decoded /batch lane: its overrides by store fact id,
+// or the error that fails this lane alone (a key that is not a fact id).
+type laneOverrides struct {
+	ids map[int]float64
+	err error
+}
+
+// UnmarshalJSON decodes a lane's assignment object into fact ids. A key
+// that is not an integer fails only this lane; a body that is not an object
+// of numbers fails the whole request, as any malformed body does.
+func (l *laneOverrides) UnmarshalJSON(b []byte) error {
+	if ids, ok := parseLane(b); ok {
+		l.ids = ids
+		return nil
+	}
+	// Anything parseLane leaves alone (an escaped or non-integer key, a
+	// value that is not a number, null) decodes by string key as /query's
+	// assignment does, which tells a bad key (a lane error) from a
+	// malformed body.
+	var raw map[string]float64
+	if err := json.Unmarshal(b, &raw); err != nil {
+		return err
+	}
+	l.ids, l.err = overrides(raw)
+	return nil
+}
+
+// parseLane is laneOverrides' fast path. When b is an object whose keys
+// are plain decimal integers and whose values are numbers, parseLane returns
+// it by fact id, parsing keys and values with the strconv calls
+// encoding/json and overrides use; it reports false for anything else. The
+// decoder hands it a value it has already validated, so it checks only what
+// it relies on.
+func parseLane(b []byte) (map[int]float64, bool) {
+	at := func(i int) byte {
+		if i < len(b) {
+			return b[i]
+		}
+		return 0
+	}
+	i := skipSpace(b, 0)
+	if at(i) != '{' {
+		return nil, false
+	}
+	ids := make(map[int]float64, bytes.Count(b, []byte{':'}))
+	if i = skipSpace(b, i+1); at(i) == '}' {
+		return ids, true
+	}
+	for {
+		if at(i) != '"' {
+			return nil, false
+		}
+		n := bytes.IndexByte(b[i+1:], '"')
+		if n < 0 || bytes.IndexByte(b[i+1:i+1+n], '\\') >= 0 {
+			return nil, false // an escaped key takes the slow path
+		}
+		id, err := strconv.Atoi(string(b[i+1 : i+1+n]))
+		if err != nil {
+			return nil, false
+		}
+		if i = skipSpace(b, i+n+2); at(i) != ':' {
+			return nil, false
+		}
+		i = skipSpace(b, i+1)
+		j := i
+		for j < len(b) && strings.IndexByte("+-.0123456789eE", b[j]) >= 0 {
+			j++
+		}
+		p, err := strconv.ParseFloat(string(b[i:j]), 64)
+		if err != nil {
+			return nil, false
+		}
+		ids[id] = p
+		switch i = skipSpace(b, j); at(i) {
+		case '}':
+			return ids, true
+		case ',':
+			i = skipSpace(b, i+1)
+		default:
+			return nil, false
+		}
+	}
+}
+
+// skipSpace returns the index of the first non-whitespace byte of b at or
+// after i.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
 type batchResponse struct {
 	Probabilities []float64 `json:"probabilities"`
 	// Errors[i] is the failure of lane i, empty when the lane is healthy.
@@ -572,7 +676,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.nBatchReqs.Add(1)
 	span := obs.SpanFrom(r.Context())
 	span.Stage("parse")
-	var req batchRequest
+	var req batchBody
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -609,12 +713,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	lanes := make([]map[int]float64, 0, B)
 	valid := make([]int, 0, B)
 	for i, a := range req.Assignments {
-		lane, err := overrides(a)
-		if err != nil {
-			laneErrs[i] = err.Error()
+		if a.err != nil {
+			laneErrs[i] = a.err.Error()
 			continue
 		}
-		lanes = append(lanes, lane)
+		lanes = append(lanes, a.ids)
 		valid = append(valid, i)
 	}
 	span.Stage("eval")

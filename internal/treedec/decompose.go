@@ -1,9 +1,8 @@
 package treedec
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Decomposition is a tree decomposition of a graph: a tree whose nodes carry
@@ -19,7 +18,7 @@ type Decomposition struct {
 
 	// occ caches the vertex→bags index built by index(); occN is the bag
 	// count at build time, used to invalidate the cache when bags are added.
-	occ  [][]int
+	occ  csr
 	occN int
 }
 
@@ -38,15 +37,80 @@ func (d *Decomposition) Width() int {
 	return w - 1
 }
 
-// Children returns, for each node, its sorted child list.
+// Children returns, for each node, its sorted child list. The lists share
+// one backing array; a node without children has a nil list.
 func (d *Decomposition) Children() [][]int {
-	ch := make([][]int, len(d.Parent))
-	for i, p := range d.Parent {
-		if p >= 0 {
-			ch[p] = append(ch[p], i)
+	ch := d.childIndex()
+	out := make([][]int, len(d.Parent))
+	for t := range out {
+		if row := ch.row(t); len(row) > 0 {
+			out[t] = row
 		}
 	}
-	return ch
+	return out
+}
+
+// childIndex returns the children of every node as a CSR index, each row
+// sorted.
+func (d *Decomposition) childIndex() csr {
+	c := newCSR(len(d.Parent))
+	for _, p := range d.Parent {
+		if p >= 0 {
+			c.count(p)
+		}
+	}
+	c.alloc()
+	for i, p := range d.Parent {
+		if p >= 0 {
+			c.add(p, i)
+		}
+	}
+	c.done()
+	return c
+}
+
+// csr is a compressed sparse row index: row r's items are
+// items[start[r]:start[r+1]]. It is built in two passes over the same
+// (row, item) pairs, count then add, so both arrays are sized exactly;
+// within a row, items keep the order they were added in.
+type csr struct {
+	start []int
+	items []int
+}
+
+func newCSR(rows int) csr { return csr{start: make([]int, rows+1)} }
+
+// count records one item of row r (first pass).
+func (c *csr) count(r int) { c.start[r+1]++ }
+
+// alloc ends the first pass: start[r] becomes the fill cursor of row r.
+func (c *csr) alloc() {
+	n := len(c.start) - 1
+	for r := 0; r < n; r++ {
+		c.start[r+1] += c.start[r]
+	}
+	c.items = make([]int, c.start[n])
+}
+
+// add appends item to row r (second pass).
+func (c *csr) add(r, item int) {
+	c.items[c.start[r]] = item
+	c.start[r]++
+}
+
+// done ends the second pass: each cursor stopped at its row's end, which is
+// the next row's start, so shifting them up by one restores the starts.
+func (c *csr) done() {
+	copy(c.start[1:], c.start)
+	c.start[0] = 0
+}
+
+// row returns the items of row r, or nil when r is outside the index.
+func (c csr) row(r int) []int {
+	if r < 0 || r+1 >= len(c.start) {
+		return nil
+	}
+	return c.items[c.start[r]:c.start[r+1]:c.start[r+1]]
 }
 
 // Roots returns the root nodes of the forest.
@@ -158,11 +222,11 @@ func (d *Decomposition) checkConnectivity(n int) error {
 }
 
 // vertexOccurrences builds the vertex→bags index shared by BagContaining,
-// Validate and Nice.AssignScopes: occ[v] lists the nodes whose bag contains
+// Validate and Nice.AssignScopes: row v lists the nodes whose bag contains
 // vertex v, in the given node order (nil means 0..len(bags)-1). The index is
 // sized by the largest vertex seen; vertices beyond it simply have no
 // occurrences.
-func vertexOccurrences(bags [][]int, order []int) [][]int {
+func vertexOccurrences(bags [][]int, order []int) csr {
 	max := -1
 	for _, b := range bags {
 		for _, v := range b {
@@ -171,35 +235,34 @@ func vertexOccurrences(bags [][]int, order []int) [][]int {
 			}
 		}
 	}
-	occ := make([][]int, max+1)
+	occ := newCSR(max + 1)
+	for _, b := range bags {
+		for _, v := range b {
+			occ.count(v)
+		}
+	}
+	occ.alloc()
 	if order == nil {
 		for i, b := range bags {
 			for _, v := range b {
-				occ[v] = append(occ[v], i)
+				occ.add(v, i)
 			}
 		}
-		return occ
-	}
-	for _, i := range order {
-		for _, v := range bags[i] {
-			occ[v] = append(occ[v], i)
+	} else {
+		for _, i := range order {
+			for _, v := range bags[i] {
+				occ.add(v, i)
+			}
 		}
 	}
+	occ.done()
 	return occ
-}
-
-// occurrencesOf returns occ[v], or nil when v is outside the index.
-func occurrencesOf(occ [][]int, v int) []int {
-	if v < 0 || v >= len(occ) {
-		return nil
-	}
-	return occ[v]
 }
 
 // findInOccurrences returns a node whose bag contains both u and v, or -1,
 // scanning only the bags of u.
-func findInOccurrences(bags [][]int, occ [][]int, u, v int) int {
-	for _, i := range occurrencesOf(occ, u) {
+func findInOccurrences(bags [][]int, occ csr, u, v int) int {
+	for _, i := range occ.row(u) {
 		if contains(bags[i], v) {
 			return i
 		}
@@ -216,8 +279,8 @@ func (d *Decomposition) findBagWith(u, v int) int {
 // of bags has changed since it was built. Bags must not be mutated in place
 // after the first indexed query (BagContaining, Validate); building a fresh
 // Decomposition value is always safe.
-func (d *Decomposition) index() [][]int {
-	if d.occ == nil || d.occN != len(d.Bags) {
+func (d *Decomposition) index() csr {
+	if d.occ.start == nil || d.occN != len(d.Bags) {
 		d.occ = vertexOccurrences(d.Bags, nil)
 		d.occN = len(d.Bags)
 	}
@@ -236,21 +299,8 @@ func (d *Decomposition) BagContaining(vs []int) int {
 		return 0
 	}
 	occ := d.index()
-	best := vs[0]
-	for _, v := range vs[1:] {
-		if len(occurrencesOf(occ, v)) < len(occurrencesOf(occ, best)) {
-			best = v
-		}
-	}
-	for _, i := range occurrencesOf(occ, best) {
-		all := true
-		for _, v := range vs {
-			if !contains(d.Bags[i], v) {
-				all = false
-				break
-			}
-		}
-		if all {
+	for _, i := range occ.row(rarest(occ, vs)) {
+		if containsAll(d.Bags[i], vs) {
 			return i
 		}
 	}
@@ -272,21 +322,100 @@ const (
 // Decompose computes a tree decomposition of g by vertex elimination with
 // the chosen heuristic. The result is valid for any graph; its width is
 // optimal on chordal graphs and a heuristic upper bound otherwise.
+//
+// It eliminates once: the pass that chooses the order also records each
+// vertex's later neighbours, which are exactly its bag, so the result equals
+// FromEliminationOrder(g, EliminationOrder(g, h)) without a second pass.
 func Decompose(g *Graph, h Heuristic) *Decomposition {
-	order := EliminationOrder(g, h)
-	return FromEliminationOrder(g, order)
+	return eliminate(g, h).decomposition()
 }
 
 // EliminationOrder returns a vertex elimination order chosen greedily by the
 // heuristic. Ties are broken by vertex index, for determinism.
 func EliminationOrder(g *Graph, h Heuristic) []int {
-	if h == MinDegree {
-		return minDegreeOrder(g)
-	}
-	return minFillOrder(g)
+	return eliminate(g, h).order
 }
 
-// minFillOrder implements the min-fill heuristic with incremental score
+func eliminate(g *Graph, h Heuristic) *eliminator {
+	e := newEliminator(g)
+	if h == MinDegree {
+		e.minDegree()
+	} else {
+		e.minFill()
+	}
+	return e
+}
+
+// eliminator runs one vertex elimination over a working copy of a graph and
+// records, for every eliminated vertex, its neighbours at elimination time:
+// the vertices eliminated after it that share its bag. The record is flat:
+// the later neighbours of order[i] are nbrs[start[i]:start[i+1]], sorted.
+type eliminator struct {
+	work       *Graph
+	eliminated []bool
+	order      []int
+	start      []int
+	nbrs       []int
+	buf        []int // merge scratch of take
+}
+
+func newEliminator(g *Graph) *eliminator {
+	n := g.N()
+	return &eliminator{
+		work:       g.Clone(),
+		eliminated: make([]bool, n),
+		order:      make([]int, 0, n),
+		start:      append(make([]int, 0, n+1), 0),
+		nbrs:       make([]int, 0, g.NumEdges()+n),
+	}
+}
+
+// take eliminates v: it records v's neighbours, turns them into a clique and
+// detaches v from the working graph.
+func (e *eliminator) take(v int) {
+	e.order = append(e.order, v)
+	e.eliminated[v] = true
+	ns := e.work.adj[v]
+	e.nbrs = append(e.nbrs, ns...)
+	e.start = append(e.start, len(e.nbrs))
+	e.buf = e.work.eliminate(v, e.buf)
+}
+
+// eliminate connects the neighbourhood of v into a clique and removes v,
+// merging each neighbour's sorted list with v's in the scratch buf, which it
+// returns for reuse.
+func (g *Graph) eliminate(v int, buf []int) []int {
+	ns := g.adj[v]
+	for _, u := range ns {
+		// adj[u] becomes (adj[u] ∪ ns) \ {u, v}.
+		a := g.adj[u]
+		buf = buf[:0]
+		i, j := 0, 0
+		for i < len(a) || j < len(ns) {
+			var x int
+			switch {
+			case j == len(ns) || (i < len(a) && a[i] < ns[j]):
+				x = a[i]
+				i++
+			case i == len(a) || ns[j] < a[i]:
+				x = ns[j]
+				j++
+			default:
+				x = a[i]
+				i++
+				j++
+			}
+			if x != u && x != v {
+				buf = append(buf, x)
+			}
+		}
+		g.adj[u] = append(a[:0], buf...)
+	}
+	g.adj[v] = nil
+	return buf
+}
+
+// minFill implements the min-fill heuristic with incremental score
 // maintenance: instead of recomputing the fill-in of every live vertex at
 // every step (O(n) fillIn scans per elimination), scores are kept in a heap
 // and recomputed only for the vertices whose fill-in can actually have
@@ -300,42 +429,38 @@ func EliminationOrder(g *Graph, h Heuristic) []int {
 // No other vertex's neighbourhood or induced edges change, so this dirty set
 // is exact and the produced order is identical to a full greedy rescan
 // (argmin by score, ties to the lowest vertex index).
-func minFillOrder(g *Graph) []int {
-	n := g.N()
-	work := g.Clone()
-	eliminated := make([]bool, n)
+func (e *eliminator) minFill() {
+	work := e.work
+	n := work.N()
 	score := make([]int, n)
 	h := make(degreeHeap, 0, n)
 	for v := 0; v < n; v++ {
 		score[v] = fillIn(work, v)
 		h = append(h, degreeEntry{deg: score[v], vertex: v})
 	}
-	heap.Init(&h)
-	order := make([]int, 0, n)
+	h.init()
 	marked := make([]bool, n)
 	var dirty []int
 	var added [][2]int
-	for len(order) < n {
-		e := heap.Pop(&h).(degreeEntry)
-		v := e.vertex
-		if eliminated[v] {
+	for len(e.order) < n {
+		top := h.pop()
+		v := top.vertex
+		if e.eliminated[v] {
 			continue
 		}
-		if e.deg != score[v] {
-			heap.Push(&h, degreeEntry{deg: score[v], vertex: v}) // stale entry
+		if top.deg != score[v] {
+			h.push(degreeEntry{deg: score[v], vertex: v}) // stale entry
 			continue
 		}
-		order = append(order, v)
-		eliminated[v] = true
-		ns := work.Neighbors(v)
+		ns := work.adj[v]
 		dirty = dirty[:0]
 		mark := func(u int) {
-			if !marked[u] && !eliminated[u] {
+			if !marked[u] && !e.eliminated[u] {
 				marked[u] = true
 				dirty = append(dirty, u)
 			}
 		}
-		// Turn the neighbourhood into a clique, remembering the fill edges.
+		// Remember the fill edges the clique will add.
 		added = added[:0]
 		for i := 0; i < len(ns); i++ {
 			for j := i + 1; j < len(ns); j++ {
@@ -344,22 +469,17 @@ func minFillOrder(g *Graph) []int {
 				}
 			}
 		}
-		for _, uw := range added {
-			work.AddEdge(uw[0], uw[1])
-		}
-		// Detach v.
 		for _, u := range ns {
-			delete(work.adj[u], v)
 			mark(u)
 		}
-		work.adj[v] = make(map[int]struct{})
+		e.take(v)
 		// Common neighbours of each new edge lose one missing pair.
 		for _, uw := range added {
 			u, w := uw[0], uw[1]
 			if len(work.adj[w]) < len(work.adj[u]) {
 				u, w = w, u
 			}
-			for x := range work.adj[u] {
+			for _, x := range work.adj[u] {
 				if work.HasEdge(x, w) {
 					mark(x)
 				}
@@ -368,43 +488,36 @@ func minFillOrder(g *Graph) []int {
 		for _, u := range dirty {
 			marked[u] = false
 			score[u] = fillIn(work, u)
-			heap.Push(&h, degreeEntry{deg: score[u], vertex: u})
+			h.push(degreeEntry{deg: score[u], vertex: u})
 		}
 	}
-	return order
 }
 
-// minDegreeOrder implements the min-degree heuristic with a lazy min-heap,
-// so that large sparse graphs (the benchmark instances) decompose in
+// minDegree implements the min-degree heuristic with a lazy min-heap, so
+// that large sparse graphs (the benchmark instances) decompose in
 // near-linear time.
-func minDegreeOrder(g *Graph) []int {
-	n := g.N()
-	work := g.Clone()
-	eliminated := make([]bool, n)
-	h := &degreeHeap{}
-	heap.Init(h)
+func (e *eliminator) minDegree() {
+	work := e.work
+	n := work.N()
+	h := make(degreeHeap, 0, n)
 	for v := 0; v < n; v++ {
-		heap.Push(h, degreeEntry{deg: work.Degree(v), vertex: v})
+		h = append(h, degreeEntry{deg: work.Degree(v), vertex: v})
 	}
-	order := make([]int, 0, n)
-	for len(order) < n {
-		e := heap.Pop(h).(degreeEntry)
-		if eliminated[e.vertex] || work.Degree(e.vertex) != e.deg {
-			if !eliminated[e.vertex] {
-				heap.Push(h, degreeEntry{deg: work.Degree(e.vertex), vertex: e.vertex})
+	h.init()
+	for len(e.order) < n {
+		top := h.pop()
+		if e.eliminated[top.vertex] || work.Degree(top.vertex) != top.deg {
+			if !e.eliminated[top.vertex] {
+				h.push(degreeEntry{deg: work.Degree(top.vertex), vertex: top.vertex})
 			}
 			continue // stale entry
 		}
-		v := e.vertex
-		order = append(order, v)
-		ns := work.Neighbors(v)
-		eliminateVertex(work, v)
-		eliminated[v] = true
-		for _, u := range ns {
-			heap.Push(h, degreeEntry{deg: work.Degree(u), vertex: u})
+		v := top.vertex
+		e.take(v)
+		for _, u := range e.nbrs[e.start[len(e.order)-1]:] {
+			h.push(degreeEntry{deg: work.Degree(u), vertex: u})
 		}
 	}
-	return order
 }
 
 type degreeEntry struct {
@@ -412,29 +525,69 @@ type degreeEntry struct {
 	vertex int
 }
 
+// degreeHeap is a binary min-heap of entries ordered by (deg, vertex). Both
+// heuristics push stale duplicates and skip them on pop, so the pop sequence
+// is the sorted sequence of live minima whatever the heap layout.
 type degreeHeap []degreeEntry
 
-func (h degreeHeap) Len() int { return len(h) }
-func (h degreeHeap) Less(i, j int) bool {
+func (h degreeHeap) less(i, j int) bool {
 	if h[i].deg != h[j].deg {
 		return h[i].deg < h[j].deg
 	}
 	return h[i].vertex < h[j].vertex
 }
-func (h degreeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *degreeHeap) Push(x interface{}) { *h = append(*h, x.(degreeEntry)) }
-func (h *degreeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h degreeHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *degreeHeap) push(x degreeEntry) {
+	*h = append(*h, x)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *degreeHeap) pop() degreeEntry {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	*h = s[:last]
+	(*h).down(0)
+	return top
+}
+
+func (h degreeHeap) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
+		}
+		m := l
+		if r := l + 1; r < len(h) && h.less(r, l) {
+			m = r
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // fillIn counts the edges that eliminating v would add between its
 // neighbours.
 func fillIn(g *Graph, v int) int {
-	ns := g.Neighbors(v)
+	ns := g.adj[v]
 	fill := 0
 	for i := 0; i < len(ns); i++ {
 		for j := i + 1; j < len(ns); j++ {
@@ -446,62 +599,59 @@ func fillIn(g *Graph, v int) int {
 	return fill
 }
 
-// eliminateVertex connects the neighbourhood of v into a clique and removes
-// v from the working graph.
-func eliminateVertex(g *Graph, v int) {
-	ns := g.Neighbors(v)
-	g.AddClique(ns)
-	for _, u := range ns {
-		delete(g.adj[u], v)
-	}
-	g.adj[v] = make(map[int]struct{})
-}
-
 // FromEliminationOrder builds a tree decomposition from an elimination
 // order using the standard construction: the bag of the i-th eliminated
 // vertex v is {v} plus the neighbours of v in the fill-in graph that are
 // eliminated later; its parent is the bag of the earliest-later-eliminated
 // such neighbour.
 func FromEliminationOrder(g *Graph, order []int) *Decomposition {
-	n := g.N()
-	if len(order) != n {
+	if len(order) != g.N() {
 		panic("treedec: elimination order must cover all vertices")
 	}
+	e := newEliminator(g)
+	for _, v := range order {
+		e.take(v)
+	}
+	return e.decomposition()
+}
+
+// decomposition builds the tree decomposition of the recorded elimination:
+// bag i is order[i] with its later neighbours, carved from one exactly
+// sized array, and its parent is the bag of the earliest eliminated of
+// those neighbours.
+func (e *eliminator) decomposition() *Decomposition {
+	n := len(e.order)
+	if n == 0 {
+		// A single empty bag so that downstream DP always has a root.
+		return &Decomposition{Bags: [][]int{{}}, Parent: []int{-1}}
+	}
 	pos := make([]int, n)
-	for i, v := range order {
+	for i, v := range e.order {
 		pos[v] = i
 	}
-	work := g.Clone()
-	// laterNeighbors[i] = neighbours of order[i] at elimination time.
-	laterNeighbors := make([][]int, n)
-	for i, v := range order {
-		ns := work.Neighbors(v)
-		laterNeighbors[i] = ns
-		eliminateVertex(work, v)
-	}
+	slab := make([]int, n+len(e.nbrs))
 	d := &Decomposition{
 		Bags:   make([][]int, n),
 		Parent: make([]int, n),
 	}
-	for i, v := range order {
-		bag := append([]int{v}, laterNeighbors[i]...)
-		sort.Ints(bag)
+	off := 0
+	for i, v := range e.order {
+		later := e.nbrs[e.start[i]:e.start[i+1]]
+		end := off + len(later) + 1
+		bag := slab[off:end:end]
+		k, _ := slices.BinarySearch(later, v)
+		copy(bag, later[:k])
+		bag[k] = v
+		copy(bag[k+1:], later[k:])
 		d.Bags[i] = bag
-		// Parent: node of the earliest-eliminated later neighbour.
+		off = end
 		parent := -1
-		bestPos := n
-		for _, u := range laterNeighbors[i] {
-			if pos[u] < bestPos {
-				bestPos = pos[u]
+		for _, u := range later {
+			if parent < 0 || pos[u] < parent {
 				parent = pos[u]
 			}
 		}
 		d.Parent[i] = parent
-	}
-	if n == 0 {
-		// A single empty bag so that downstream DP always has a root.
-		d.Bags = [][]int{{}}
-		d.Parent = []int{-1}
 	}
 	return d
 }

@@ -30,6 +30,17 @@ func naiveMinFillOrder(g *Graph) []int {
 	return order
 }
 
+// eliminateVertex connects the neighbourhood of v into a clique and removes
+// v from the working graph.
+func eliminateVertex(g *Graph, v int) {
+	g.eliminate(v, nil)
+}
+
+// minFillOrder returns the min-fill elimination order of g.
+func minFillOrder(g *Graph) []int {
+	return EliminationOrder(g, MinFill)
+}
+
 func TestMinFillIncrementalMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 60; trial++ {

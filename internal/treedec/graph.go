@@ -10,20 +10,48 @@ package treedec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Graph is a finite undirected graph over vertices 0..n-1. The zero value is
 // an empty graph; use NewGraph or AddVertex to grow it.
+//
+// Adjacency is stored as one sorted neighbour list per vertex, so Neighbors,
+// Edges and the elimination heuristics read it in order without sorting, and
+// a clone copies every list into one exactly sized backing array.
 type Graph struct {
-	adj []map[int]struct{}
+	adj [][]int // adj[v] is the sorted neighbour list of v
 }
 
 // NewGraph returns a graph with n isolated vertices.
 func NewGraph(n int) *Graph {
-	g := &Graph{adj: make([]map[int]struct{}, n)}
-	for i := range g.adj {
-		g.adj[i] = make(map[int]struct{})
+	return &Graph{adj: make([][]int, n)}
+}
+
+// NewGraphFromCliques returns the graph on n vertices whose edges make every
+// given vertex list a clique (AddClique for each). A first pass bounds each
+// vertex's degree, so the neighbour lists are carved from one array and
+// never reallocate while the cliques are added.
+func NewGraphFromCliques(n int, cliques [][]int) *Graph {
+	bound := make([]int, n+1)
+	for _, c := range cliques {
+		for _, v := range c {
+			if v >= 0 && v < n {
+				bound[v+1] += len(c) - 1
+			}
+		}
+	}
+	for v := 0; v < n; v++ {
+		bound[v+1] += bound[v]
+	}
+	slab := make([]int, bound[n])
+	g := NewGraph(n)
+	for v := range g.adj {
+		g.adj[v] = slab[bound[v]:bound[v]:bound[v+1]]
+	}
+	for _, c := range cliques {
+		g.AddClique(c)
 	}
 	return g
 }
@@ -33,7 +61,7 @@ func (g *Graph) N() int { return len(g.adj) }
 
 // AddVertex adds a new isolated vertex and returns its index.
 func (g *Graph) AddVertex() int {
-	g.adj = append(g.adj, make(map[int]struct{}))
+	g.adj = append(g.adj, nil)
 	return len(g.adj) - 1
 }
 
@@ -46,8 +74,17 @@ func (g *Graph) AddEdge(u, v int) {
 	if u < 0 || v < 0 || u >= len(g.adj) || v >= len(g.adj) {
 		panic(fmt.Sprintf("treedec: edge {%d,%d} out of range (n=%d)", u, v, len(g.adj)))
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
+	g.adj[u] = insertSorted(g.adj[u], v)
+	g.adj[v] = insertSorted(g.adj[v], u)
+}
+
+// insertSorted inserts v into the sorted list xs unless it is already there.
+func insertSorted(xs []int, v int) []int {
+	i, found := slices.BinarySearch(xs, v)
+	if found {
+		return xs
+	}
+	return slices.Insert(xs, i, v)
 }
 
 // AddClique adds all edges between the given vertices. Used to make the
@@ -66,58 +103,55 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= len(g.adj) {
 		return false
 	}
-	_, ok := g.adj[u][v]
+	_, ok := slices.BinarySearch(g.adj[u], v)
 	return ok
 }
 
 // Degree returns the number of neighbours of v.
 func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 
-// Neighbors returns the sorted neighbours of v.
+// Neighbors returns the sorted neighbours of v in a slice owned by the
+// caller.
 func (g *Graph) Neighbors(v int) []int {
-	ns := make([]int, 0, len(g.adj[v]))
-	for u := range g.adj[v] {
-		ns = append(ns, u)
-	}
-	sort.Ints(ns)
-	return ns
+	return slices.Clone(g.adj[v])
 }
 
 // Edges returns all edges {u, v} with u < v, sorted.
 func (g *Graph) Edges() [][2]int {
-	var es [][2]int
-	for u := range g.adj {
-		for v := range g.adj[u] {
+	es := make([][2]int, 0, g.NumEdges())
+	for u, ns := range g.adj {
+		for _, v := range ns {
 			if u < v {
 				es = append(es, [2]int{u, v})
 			}
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i][0] != es[j][0] {
-			return es[i][0] < es[j][0]
-		}
-		return es[i][1] < es[j][1]
-	})
 	return es
 }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int {
 	m := 0
-	for u := range g.adj {
-		m += len(g.adj[u])
+	for _, ns := range g.adj {
+		m += len(ns)
 	}
 	return m / 2
 }
 
-// Clone returns a deep copy of g.
+// Clone returns a deep copy of g. The copy's neighbour lists share one
+// backing array, each capped at its own length, so growing one list never
+// overwrites the next.
 func (g *Graph) Clone() *Graph {
+	slab := make([]int, 2*g.NumEdges())
 	h := NewGraph(g.N())
-	for u := range g.adj {
-		for v := range g.adj[u] {
-			h.adj[u][v] = struct{}{}
+	off := 0
+	for u, ns := range g.adj {
+		if len(ns) == 0 {
+			continue
 		}
+		end := off + copy(slab[off:], ns)
+		h.adj[u] = slab[off:end:end]
+		off = end
 	}
 	return h
 }
@@ -137,7 +171,7 @@ func (g *Graph) Components() [][]int {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, v)
-			for u := range g.adj[v] {
+			for _, u := range g.adj[v] {
 				if !seen[u] {
 					seen[u] = true
 					stack = append(stack, u)
@@ -190,7 +224,7 @@ func Components(g *Graph) Partition {
 		for len(stack) > 0 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for u := range g.adj[v] {
+			for _, u := range g.adj[v] {
 				if p.Comp[u] < 0 {
 					p.Comp[u] = c
 					stack = append(stack, u)

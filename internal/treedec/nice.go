@@ -2,6 +2,7 @@ package treedec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -63,86 +64,218 @@ func (n *Nice) Width() int {
 // NumNodes returns the number of nice nodes.
 func (n *Nice) NumNodes() int { return len(n.Nodes) }
 
-func (n *Nice) add(nd NiceNode) int {
-	n.Nodes = append(n.Nodes, nd)
-	return len(n.Nodes) - 1
-}
-
 // MakeNice converts a tree decomposition into a nice one rooted at an empty
 // bag. The width is unchanged.
+//
+// Every forest root becomes a chain forgetting its bag down to the empty
+// bag, and the chains are joined pairwise. Below a node t, each child c is
+// built recursively, its bag is morphed into t's (forget then introduce),
+// and the morphed children are joined pairwise on t's bag; a leaf of the
+// decomposition introduces its bag above an empty leaf.
+//
+// The node count and the total bag size follow from the decomposition alone,
+// so a first pass sizes three arrays exactly (nodes, bag entries, child
+// entries) and the build carves every Bag and Children slice from them: no
+// per-node allocation, and no slack left in what a plan keeps.
 func MakeNice(d *Decomposition) *Nice {
-	nice := &Nice{}
-	children := d.Children()
-	var tops []int // empty-bag tops, one per forest root
-	for _, r := range d.Roots() {
-		top := nice.buildSubtree(d, children, r)
-		top = nice.forgetChain(top, d.Bags[r], nil)
-		tops = append(tops, top)
+	bags := sortedBags(d.Bags)
+	ch := d.childIndex()
+	roots := d.Roots()
+	nodes, entries := niceSize(bags, ch, roots)
+	b := &niceBuilder{
+		bags:  bags,
+		ch:    ch,
+		nodes: make([]NiceNode, 0, nodes),
+		slab:  make([]int, 0, entries),
+		kids:  make([]int, 0, max(nodes-1, 0)),
 	}
-	if len(tops) == 0 {
-		nice.Root = nice.add(NiceNode{Kind: NiceLeaf, Vertex: -1, Bag: nil})
-		return nice
+	if len(roots) == 0 {
+		b.add(NiceLeaf, -1, 0, -1, -1)
+		return &Nice{Nodes: b.nodes, Root: 0}
+	}
+	for _, r := range roots {
+		top := b.forgetChain(b.subtree(r), bags[r], nil)
+		b.tops = append(b.tops, top)
 	}
 	// Join the empty-bag tops of a forest pairwise.
-	root := tops[0]
-	for _, t := range tops[1:] {
-		root = nice.add(NiceNode{Kind: NiceJoin, Vertex: -1, Bag: nil, Children: []int{root, t}})
-	}
-	nice.Root = root
-	return nice
+	return &Nice{Nodes: b.nodes, Root: b.joinTops(0, nil)}
 }
 
-// buildSubtree returns the index of a nice node whose bag equals d.Bags[t].
-func (n *Nice) buildSubtree(d *Decomposition, children [][]int, t int) int {
-	bag := d.Bags[t]
-	if len(children[t]) == 0 {
-		leaf := n.add(NiceNode{Kind: NiceLeaf, Vertex: -1, Bag: nil})
-		return n.introduceChain(leaf, nil, bag)
+// sortedBags returns bags unchanged when every bag is sorted, as
+// Decomposition documents, and sorted copies otherwise.
+func sortedBags(bags [][]int) [][]int {
+	for _, b := range bags {
+		if !slices.IsSorted(b) {
+			out := make([][]int, len(bags))
+			for i, b := range bags {
+				out[i] = sortedCopy(b)
+			}
+			return out
+		}
 	}
-	var tops []int
-	for _, c := range children[t] {
-		sub := n.buildSubtree(d, children, c)
+	return bags
+}
+
+// niceSize returns the node count and total bag size MakeNice will build.
+// A chain morphing bag F into bag T through their common part K adds
+// |F|-|K| forget nodes, with bags of sizes |K|..|F|-1, and |T|-|K|
+// introduce nodes, with bags of sizes |K|+1..|T|.
+func niceSize(bags [][]int, ch csr, roots []int) (nodes, entries int) {
+	for t, bag := range bags {
+		m := len(bag)
+		cs := ch.row(t)
+		if len(cs) == 0 {
+			nodes += 1 + m // leaf, then introduce the bag
+			entries += sumRange(1, m)
+			continue
+		}
+		for _, c := range cs {
+			f, k := len(bags[c]), countCommon(bags[c], bag)
+			nodes += (f - k) + (m - k)
+			entries += sumRange(k, f-1) + sumRange(k+1, m)
+		}
+		nodes += len(cs) - 1 // joins
+		entries += (len(cs) - 1) * m
+	}
+	for _, r := range roots {
+		nodes += len(bags[r])
+		entries += sumRange(0, len(bags[r])-1)
+	}
+	if len(roots) == 0 {
+		nodes++
+	} else {
+		nodes += len(roots) - 1
+	}
+	return nodes, entries
+}
+
+// sumRange returns lo + (lo+1) + ... + hi, 0 when hi < lo.
+func sumRange(lo, hi int) int {
+	if hi < lo {
+		return 0
+	}
+	return (lo + hi) * (hi - lo + 1) / 2
+}
+
+// countCommon returns |a ∩ b| for sorted a and b.
+func countCommon(a, b []int) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
+		}
+	}
+	return n
+}
+
+// niceBuilder appends nice nodes, carving their bags from slab and their
+// child lists from kids. Both are sized by niceSize; were they short, append
+// would move the later entries to a new array while the earlier slices keep
+// the old one, which stays correct.
+type niceBuilder struct {
+	bags  [][]int
+	ch    csr
+	nodes []NiceNode
+	slab  []int
+	kids  []int
+	tops  []int // subtree tops awaiting their joins, a stack across recursion levels
+}
+
+// add appends a node whose bag is the last size entries of the slab, and
+// returns its index. c0 and c1 are its children, -1 when absent.
+func (b *niceBuilder) add(kind NiceKind, vertex, size, c0, c1 int) int {
+	nd := NiceNode{Kind: kind, Vertex: vertex}
+	if size > 0 {
+		end := len(b.slab)
+		nd.Bag = b.slab[end-size : end : end]
+	}
+	if c0 >= 0 {
+		start := len(b.kids)
+		b.kids = append(b.kids, c0)
+		if c1 >= 0 {
+			b.kids = append(b.kids, c1)
+		}
+		nd.Children = b.kids[start:len(b.kids):len(b.kids)]
+	}
+	b.nodes = append(b.nodes, nd)
+	return len(b.nodes) - 1
+}
+
+// subtree builds the nice subtree for decomposition node t and returns the
+// index of its top node, whose bag equals t's bag.
+func (b *niceBuilder) subtree(t int) int {
+	bag := b.bags[t]
+	cs := b.ch.row(t)
+	if len(cs) == 0 {
+		return b.introduceChain(b.add(NiceLeaf, -1, 0, -1, -1), nil, bag)
+	}
+	base := len(b.tops)
+	for _, c := range cs {
 		// Morph the child's bag into t's bag: forget then introduce.
-		mid := n.forgetChain(sub, d.Bags[c], bag)
-		top := n.introduceChain(mid, intersect(d.Bags[c], bag), bag)
-		tops = append(tops, top)
+		top := b.subtree(c)
+		top = b.forgetChain(top, b.bags[c], bag)
+		top = b.introduceChain(top, b.bags[c], bag)
+		b.tops = append(b.tops, top)
 	}
-	res := tops[0]
-	for _, t2 := range tops[1:] {
-		res = n.add(NiceNode{Kind: NiceJoin, Vertex: -1, Bag: sortedCopy(bag), Children: []int{res, t2}})
+	return b.joinTops(base, bag)
+}
+
+// joinTops joins the tops pushed since base pairwise, left to right, on
+// bag, pops them and returns the last join (the only top if there is one).
+func (b *niceBuilder) joinTops(base int, bag []int) int {
+	res := b.tops[base]
+	for _, top := range b.tops[base+1:] {
+		b.slab = append(b.slab, bag...)
+		res = b.add(NiceJoin, -1, len(bag), res, top)
 	}
+	b.tops = b.tops[:base]
 	return res
 }
 
-// forgetChain adds forget nodes removing every vertex of from that is not in
-// keep, returning the top node index.
-func (n *Nice) forgetChain(top int, from, keep []int) int {
-	keepSet := toSet(keep)
-	bag := sortedCopy(from)
-	// Forget in decreasing order for determinism.
-	for i := len(bag) - 1; i >= 0; i-- {
-		v := bag[i]
-		if keepSet[v] {
+// forgetChain adds forget nodes removing, in decreasing order, every vertex
+// of from that is not in keep (both sorted), and returns the top node. The
+// bag after forgetting v holds the members of from below v and the kept
+// members above it.
+func (b *niceBuilder) forgetChain(top int, from, keep []int) int {
+	for i := len(from) - 1; i >= 0; i-- {
+		v := from[i]
+		if contains(keep, v) {
 			continue
 		}
-		newBag := removeOne(bag, v)
-		top = n.add(NiceNode{Kind: NiceForget, Vertex: v, Bag: newBag, Children: []int{top}})
-		bag = newBag
+		size := len(b.slab)
+		for _, u := range from {
+			if u < v || (u > v && contains(keep, u)) {
+				b.slab = append(b.slab, u)
+			}
+		}
+		top = b.add(NiceForget, v, len(b.slab)-size, top, -1)
 	}
 	return top
 }
 
-// introduceChain adds introduce nodes for every vertex of target missing
-// from base, returning the top node index.
-func (n *Nice) introduceChain(top int, base, target []int) int {
-	baseSet := toSet(base)
-	bag := sortedCopy(base)
+// introduceChain adds introduce nodes, in increasing order, for every vertex
+// of target (sorted) that is not in base, and returns the top node. The bag
+// after introducing v holds the members of target up to v together with
+// those shared with base.
+func (b *niceBuilder) introduceChain(top int, base, target []int) int {
 	for _, v := range target {
-		if baseSet[v] {
+		if contains(base, v) {
 			continue
 		}
-		bag = insertOne(bag, v)
-		top = n.add(NiceNode{Kind: NiceIntroduce, Vertex: v, Bag: sortedCopy(bag), Children: []int{top}})
+		size := len(b.slab)
+		for _, u := range target {
+			if u <= v || contains(base, u) {
+				b.slab = append(b.slab, u)
+			}
+		}
+		top = b.add(NiceIntroduce, v, len(b.slab)-size, top, -1)
 	}
 	return top
 }
@@ -216,7 +349,7 @@ func (n *Nice) AsDecomposition() *Decomposition {
 // post-order (children before parents), which is the evaluation order of
 // every bottom-up DP.
 func (n *Nice) PostOrder() []int {
-	var order []int
+	order := make([]int, 0, len(n.Nodes))
 	var visit func(int)
 	visit = func(t int) {
 		for _, c := range n.Nodes[t].Children {
@@ -244,7 +377,7 @@ func (n *Nice) Colour(nv int) []int {
 	for i := range colour {
 		colour[i] = -1
 	}
-	var used []bool
+	used := make([]bool, n.Width()+2)
 	stack := []int{n.Root}
 	for len(stack) > 0 {
 		t := stack[len(stack)-1]
@@ -254,7 +387,7 @@ func (n *Nice) Colour(nv int) []int {
 		if nd.Kind != NiceForget || nd.Vertex >= nv {
 			continue
 		}
-		used = append(used[:0], make([]bool, len(nd.Bag)+1)...)
+		clear(used)
 		for _, u := range nd.Bag {
 			if u < nv && colour[u] < len(used) {
 				used[colour[u]] = true
@@ -281,8 +414,15 @@ func (n *Nice) AssignScopes(scopes [][]int) ([]int, error) {
 	// inspects the occurrence list of its rarest vertex. The index is built
 	// by the same helper that backs Decomposition.BagContaining.
 	bags := make([][]int, len(n.Nodes))
+	firstLeaf := -1
 	for i, nd := range n.Nodes {
 		bags[i] = nd.Bag
+	}
+	for _, t := range order {
+		if len(n.Nodes[t].Children) == 0 {
+			firstLeaf = t
+			break
+		}
 	}
 	occ := vertexOccurrences(bags, order)
 	assign := make([]int, len(scopes))
@@ -290,23 +430,11 @@ func (n *Nice) AssignScopes(scopes [][]int) ([]int, error) {
 		assign[si] = -1
 		if len(scope) == 0 {
 			// Scope-free entries go to the first leaf.
-			for _, t := range order {
-				if len(n.Nodes[t].Children) == 0 {
-					assign[si] = t
-					break
-				}
-			}
+			assign[si] = firstLeaf
 			continue
 		}
-		// Rarest vertex first.
-		best := scope[0]
-		for _, v := range scope[1:] {
-			if len(occurrencesOf(occ, v)) < len(occurrencesOf(occ, best)) {
-				best = v
-			}
-		}
-		for _, t := range occurrencesOf(occ, best) {
-			if containsAll(n.Nodes[t].Bag, scope) {
+		for _, t := range occ.row(rarest(occ, scope)) {
+			if containsAll(bags[t], scope) {
 				assign[si] = t
 				break
 			}
@@ -318,12 +446,16 @@ func (n *Nice) AssignScopes(scopes [][]int) ([]int, error) {
 	return assign, nil
 }
 
-func toSet(vs []int) map[int]bool {
-	m := make(map[int]bool, len(vs))
-	for _, v := range vs {
-		m[v] = true
+// rarest returns the member of vs (non-empty) with the fewest occurrences,
+// the first one on ties.
+func rarest(occ csr, vs []int) int {
+	best := vs[0]
+	for _, v := range vs[1:] {
+		if len(occ.row(v)) < len(occ.row(best)) {
+			best = v
+		}
 	}
-	return m
+	return best
 }
 
 func sortedCopy(vs []int) []int {
@@ -357,25 +489,15 @@ func contains(vs []int, v int) bool {
 	return false
 }
 
+// containsAll reports whether every member of want is in vs. Both are bags
+// or scopes of a few vertices, so linear scans beat building a set.
 func containsAll(vs, want []int) bool {
-	set := toSet(vs)
 	for _, v := range want {
-		if !set[v] {
+		if !contains(vs, v) {
 			return false
 		}
 	}
 	return true
-}
-
-func intersect(a, b []int) []int {
-	set := toSet(b)
-	var out []int
-	for _, v := range a {
-		if set[v] {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 func equalInts(a, b []int) bool {

@@ -76,14 +76,8 @@ func (n *Nice) AttachPoint(scope []int) int {
 	}
 	occ := vertexOccurrences(bags, nil)
 	// Scan only the occurrence list of the rarest vertex of the scope.
-	best := scope[0]
-	for _, v := range scope[1:] {
-		if len(occurrencesOf(occ, v)) < len(occurrencesOf(occ, best)) {
-			best = v
-		}
-	}
 	node := -1
-	for _, t := range occurrencesOf(occ, best) {
+	for _, t := range occ.row(rarest(occ, scope)) {
 		if containsAll(bags[t], scope) && (node < 0 || depths[t] < depths[node]) {
 			node = t
 		}

@@ -30,6 +30,8 @@ TABLES = {
     ],
     "cold": ["PrepareCold/%s/w=%d/n=%d" % (s, w, n)
              for s in ("RST", "RS", "ST") for w in (1, 2) for n in (16, 28, 40)],
+    "layers": ["PrepareLayers/%s/w=%d/n=40" % (l, w)
+               for w in (1, 2) for l in ("joint", "decompose", "nice", "prepare")],
 }
 
 def dur(ns):
