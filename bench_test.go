@@ -199,9 +199,6 @@ func BenchmarkE1Batched(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pl.Freeze(); err != nil {
-		b.Fatal(err)
-	}
 	for _, lanes := range []int{1, 8, 16, 64, 256} {
 		ps := sweepMaps(tid, lanes)
 		b.Run(fmt.Sprintf("lanes=%d/n=800", lanes), func(b *testing.B) {
@@ -216,7 +213,7 @@ func BenchmarkE1Batched(b *testing.B) {
 	}
 }
 
-// BenchmarkE1Parallel measures concurrent serving of one shared frozen plan
+// BenchmarkE1Parallel measures concurrent serving of one shared plan
 // on E1 n=800: b.N independent evaluations split over g goroutines. ns/op is
 // wall-clock per evaluation, so ideal scaling divides it by g.
 func BenchmarkE1Parallel(b *testing.B) {
@@ -224,9 +221,6 @@ func BenchmarkE1Parallel(b *testing.B) {
 	tid := gen.RSTChain(800, 0.5)
 	pl, p, err := core.PrepareTID(tid, q, core.Options{})
 	if err != nil {
-		b.Fatal(err)
-	}
-	if err := pl.Freeze(); err != nil {
 		b.Fatal(err)
 	}
 	for _, g := range []int{1, 4, 8} {
@@ -280,6 +274,46 @@ func BenchmarkE1Update(b *testing.B) {
 			// writes a real change (an unchanged weight commits as a no-op).
 			if err := s.SetProb((i*37)%s.Len(), float64(i%7+1)/10); err != nil {
 				b.Fatal(err)
+			}
+			_ = v.Probability()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/update")
+	})
+	// In-place structure growth: every Insert is a fresh fact whose
+	// arguments share a bag (a reversed S edge), so the owning shard's view
+	// splices an introduce/forget pair and recommits its root path. The
+	// edges are visited with a stride coprime to n, so any prefix samples
+	// the whole chain (the spine an attach recommits varies along it). A
+	// store runs out of fresh reversed edges after n inserts; the next one
+	// is built off the clock.
+	b.Run("attach/n=800", func(b *testing.B) {
+		const n = 800
+		var s *incr.Store
+		var v *incr.View
+		next := n
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if next == n {
+				b.StopTimer()
+				var err error
+				if s, err = incr.NewStore(tid); err != nil {
+					b.Fatal(err)
+				}
+				if v, err = s.RegisterView(q, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+				next = 0
+				b.StartTimer()
+			}
+			before := s.Stats().Attached
+			j := next * 337 % n
+			f := rel.NewFact("S", fmt.Sprintf("v%d", j+1), fmt.Sprintf("v%d", j))
+			next++
+			if _, err := s.Insert(f, 0.5); err != nil {
+				b.Fatal(err)
+			}
+			if s.Stats().Attached != before+1 {
+				b.Fatalf("insert of %s was not absorbed in place", f)
 			}
 			_ = v.Probability()
 		}
@@ -383,9 +417,9 @@ func BenchmarkE1Update(b *testing.B) {
 
 // BenchmarkE1JoinHeavy is the join-merge regression guard: a partial 3-tree
 // instance whose branching decomposition is dense in NiceJoin nodes,
-// evaluated through the compiled row program before and after Freeze (the
-// "dp" entry once measured the map-keyed DP that unfrozen plans ran; both
-// entries now run the same program). The quadratic all-pairs join scan the
+// evaluated through the compiled row program (the "dp" entry once measured
+// the map-keyed DP an earlier engine ran; both entries now run the same
+// program and are kept for the baseline's trajectory). The quadratic all-pairs join scan the
 // compiler's bits-indexed merge replaced made this shape superlinearly
 // slower.
 func BenchmarkE1JoinHeavy(b *testing.B) {
@@ -405,9 +439,6 @@ func BenchmarkE1JoinHeavy(b *testing.B) {
 			}
 		}
 	})
-	if err := pl.Freeze(); err != nil {
-		b.Fatal(err)
-	}
 	b.Run("prog/n=120", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

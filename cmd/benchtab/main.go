@@ -130,10 +130,6 @@ func e1Sweep(q rel.CQ) {
 		fmt.Println("    error:", err)
 		return
 	}
-	if err := pl.Freeze(); err != nil {
-		fmt.Println("    error:", err)
-		return
-	}
 	ps := make([]logic.Prob, lanes)
 	for i := range ps {
 		m := make(logic.Prob, len(base))
@@ -172,7 +168,7 @@ func e1Sweep(q rel.CQ) {
 	fmt.Printf("    serial x%-3d     %-10s %-14.3f 1.0x\n", lanes, ms(dSerial), perSerial)
 	fmt.Printf("    batch %d lanes  %-10s %-14.3f %.1fx\n", lanes, ms(dBatch), perBatch, perSerial/perBatch)
 
-	fmt.Println("    lane sweep (kernel block width vs per-assignment cost, same frozen plan):")
+	fmt.Println("    lane sweep (kernel block width vs per-assignment cost, same plan):")
 	fmt.Println("    lanes  total_ms   us/assignment")
 	for _, B := range []int{8, 64, 256} {
 		psB := make([]logic.Prob, B)
@@ -202,7 +198,7 @@ func e1Sweep(q rel.CQ) {
 		fmt.Printf("    %-6d %-10s %.3f\n", B, ms(d/reps), float64(d.Microseconds())/reps/float64(B))
 	}
 
-	fmt.Println("    parallel serving of the same sweep (core.Serve, shared frozen plan):")
+	fmt.Println("    parallel serving of the same sweep (core.Serve, shared plan):")
 	fmt.Println("    workers  total_ms   ms/request")
 	reqs := make([]core.Request, lanes)
 	for i, p := range ps {
@@ -779,10 +775,6 @@ func e12() {
 			fmt.Println("    error:", errP)
 		}
 	})
-	if err := sp.Freeze(); err != nil {
-		fmt.Println("    error:", err)
-		return
-	}
 	if _, err := sp.Probability(p); err != nil { // warm
 		fmt.Println("    error:", err)
 		return
@@ -800,7 +792,7 @@ func e12() {
 	}
 	fmt.Printf("    monolithic prepare+eval  %-8s ms\n", ms(dMono))
 	fmt.Printf("    sharded    prepare+eval  %-8s ms (%d shards, widths <= %d)\n", ms(dShardPrep), sp.NumShards(), sp.Width())
-	fmt.Printf("    frozen sharded eval      %-8s ms/eval (shards fanned over the worker pool)\n",
+	fmt.Printf("    sharded eval             %-8s ms/eval (shards fanned over the worker pool)\n",
 		fmt.Sprintf("%.2f", float64(dEval.Microseconds())/1000/20))
 	fmt.Printf("    agreement |Δ| = %.1e\n", math.Abs(pMono-pShard))
 }

@@ -21,7 +21,7 @@
 // batched dynamic program ((*core.Plan).ProbabilityBatch: the row DP runs
 // once, carrying one weight lane per value). With -parallel N the sweep is
 // instead served as N-way concurrent single evaluations of the shared
-// frozen plan (core.Serve), the worker-pool path a query server would use.
+// plan (core.Serve), the worker-pool path a query server would use.
 //
 // -stats prints the shape of the decomposition the plan runs on (width,
 // nice nodes, depth, max bag); depth bounds the cost of live updates.
@@ -214,7 +214,7 @@ func main() {
 // RunSweep evaluates the plan with the probability of event swept over vals,
 // all other events as in base. parallel <= 0 answers every sweep point in
 // one multi-lane batched evaluation; parallel > 0 fans the points as
-// independent requests over that many workers sharing the frozen plan.
+// independent requests over that many workers sharing the plan.
 func RunSweep(pl *core.Plan, base logic.Prob, event logic.Event, vals []float64, parallel int) ([]float64, error) {
 	ps := make([]logic.Prob, len(vals))
 	for i, v := range vals {

@@ -2,8 +2,8 @@
 // the static half of the engine's invariant enforcement (the race detector
 // and fuzz oracles are the dynamic half). It machine-checks the contracts
 // the PR 3–9 stack documents in prose — no callbacks under the store lock,
-// fixed-enum metric labels, fmt-free hot paths with live bounds hints,
-// write-free frozen plans, slog-only internal logging.
+// fixed-enum metric labels, fmt-free hot paths with live bounds hints and
+// slog-only internal logging.
 //
 // It runs two ways:
 //

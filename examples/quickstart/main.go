@@ -5,7 +5,7 @@
 // worlds enumeration, and Monte Carlo sampling — plus possibility,
 // certainty, and the lineage circuit.
 //
-// Tip for parameter sweeps: freeze the prepared plan and use
+// Tip for parameter sweeps: evaluate the prepared plan with
 // core.(*Plan).ProbabilityBatch — on amd64, building with GOAMD64=v3
 // enables FMA/AVX code in its lane kernels (internal/core/kernel).
 package main
@@ -86,7 +86,7 @@ func main() {
 	// with only the cheap numeric pass. The sweep runs as ONE multi-lane
 	// batched evaluation: the row dynamic program executes once and carries
 	// a weight lane per sweep value (see also core.Serve for fanning
-	// independent requests over a worker pool against the same frozen plan).
+	// independent requests over a worker pool against the same plan).
 	plan, probs, err := core.PrepareTID(tid, q, core.Options{})
 	if err != nil {
 		log.Fatal(err)

@@ -125,20 +125,10 @@ func (cd *Conditioned) ProbabilityEnumeration(q rel.CQ) (float64, error) {
 // PosteriorPlan is a compiled posterior query: the numerator and
 // denominator plans of P(q | constraint) = P(q ∧ obs) / P(obs), prepared
 // once and evaluable under any event probability map. Like core.Plan it is
-// single-goroutine until Freeze, after which concurrent Probability and
-// ProbabilityBatch calls are safe.
+// immutable, so concurrent Probability and ProbabilityBatch calls are safe.
 type PosteriorPlan struct {
 	num *core.Plan
 	den *core.Plan
-}
-
-// Freeze seals both underlying plans for concurrent use (see
-// core.(*Plan).Freeze).
-func (pp *PosteriorPlan) Freeze() error {
-	if err := pp.num.Freeze(); err != nil {
-		return err
-	}
-	return pp.den.Freeze()
 }
 
 // PreparePosterior compiles the posterior P(q | constraint) through the

@@ -170,7 +170,7 @@ func TestTractablePosteriorMatchesEnumeration(t *testing.T) {
 	}
 }
 
-// TestPosteriorPlanBatchSweep checks the batched posterior sweep: a frozen
+// TestPosteriorPlanBatchSweep checks the batched posterior sweep: a
 // PosteriorPlan evaluated under many probability maps at once must agree
 // with per-map serial evaluation and with the enumeration oracle.
 func TestPosteriorPlanBatchSweep(t *testing.T) {
@@ -184,10 +184,7 @@ func TestPosteriorPlanBatchSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pp.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	// 64 lanes: a full kernel block through both underlying frozen plans.
+	// 64 lanes: a full kernel block through both underlying plans.
 	var ps []logic.Prob
 	for i := 0; i < 64; i++ {
 		ps = append(ps, logic.Prob{"pods": float64(i+1) / 65, "stoc": 0.4})

@@ -104,9 +104,7 @@ func allLanesNaN(errs []error) []float64 {
 // failed lanes' outputs are NaN, and every other lane's probability is still
 // valid. The error is non-nil only when at least one lane failed.
 //
-// Safe for concurrent calls once the plan is frozen (see Freeze).
-//
-//pdblint:frozenentry
+// Safe for concurrent calls.
 func (pl *Plan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 	B := len(ps)
 	if B == 0 {
@@ -120,7 +118,7 @@ func (pl *Plan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 	if nan := allLanesNaN(lerrs); nan != nil {
 		return nan, LaneErrors(lerrs)
 	}
-	prog := pl.program()
+	prog := pl.prog
 	out := make([]float64, B)
 	totals := make([]float64, B)
 	root := pl.runBatchProg(st, prog, pe, B)

@@ -217,9 +217,6 @@ func TestServeMixedPlans(t *testing.T) {
 			}
 		}
 	}
-	if !pl1.Frozen() || !pl2.Frozen() {
-		t.Error("Serve must freeze every distinct plan")
-	}
 }
 
 // TestProbabilityBatchAllLanesInvalid: a batch with no valid lane skips the
@@ -250,64 +247,56 @@ func TestProbabilityBatchAllLanesInvalid(t *testing.T) {
 // about — 1, 3, one under/at/over the 64-lane register sweet spot, and a wide
 // 256 — every healthy lane of ProbabilityBatch must equal the scalar
 // Probability under the same map to 1e-12, failed lanes must come back as NaN
-// at exactly their positions, and the whole contract must hold on the frozen
-// (compiled row program) and unfrozen (map DP) paths alike.
+// at exactly their positions.
 func TestProbabilityBatchLaneWidths(t *testing.T) {
-	for _, frozen := range []bool{false, true} {
-		pl, p, err := PrepareTID(gen.RSTChain(5, 0.5), rel.HardQuery(), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if frozen {
-			if err := pl.Freeze(); err != nil {
-				t.Fatal(err)
+	pl, p, err := PrepareTID(gen.RSTChain(5, 0.5), rel.HardQuery(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var poisonEvent logic.Event
+	for e := range p {
+		poisonEvent = e
+		break
+	}
+	r := rand.New(rand.NewSource(7))
+	for _, B := range []int{1, 3, 63, 64, 65, 256} {
+		ps := randomProbMaps(r, p, B)
+		bad := map[int]bool{}
+		if B >= 3 {
+			// Poison a spread of lanes, including the block edges.
+			for _, i := range []int{1, B / 2, B - 1} {
+				ps[i][poisonEvent] = 1.5
+				bad[i] = true
 			}
 		}
-		var poisonEvent logic.Event
-		for e := range p {
-			poisonEvent = e
-			break
+		got, err := pl.ProbabilityBatch(ps)
+		if len(bad) == 0 && err != nil {
+			t.Fatalf("B=%d: %v", B, err)
 		}
-		r := rand.New(rand.NewSource(7))
-		for _, B := range []int{1, 3, 63, 64, 65, 256} {
-			ps := randomProbMaps(r, p, B)
-			bad := map[int]bool{}
-			if B >= 3 {
-				// Poison a spread of lanes, including the block edges.
-				for _, i := range []int{1, B / 2, B - 1} {
-					ps[i][poisonEvent] = 1.5
-					bad[i] = true
+		le, _ := err.(LaneErrors)
+		if len(bad) > 0 && le == nil {
+			t.Fatalf("B=%d: no LaneErrors for %d poisoned lanes (err %v)", B, len(bad), err)
+		}
+		for i := 0; i < B; i++ {
+			if bad[i] {
+				if !math.IsNaN(got[i]) {
+					t.Errorf("B=%d lane %d: poisoned lane = %v, want NaN", B, i, got[i])
 				}
+				if le[i] == nil {
+					t.Errorf("B=%d lane %d: poisoned lane has no error", B, i)
+				}
+				continue
 			}
-			got, err := pl.ProbabilityBatch(ps)
-			if len(bad) == 0 && err != nil {
-				t.Fatalf("frozen=%v B=%d: %v", frozen, B, err)
+			if le != nil && le[i] != nil {
+				t.Errorf("B=%d lane %d: healthy lane failed: %v", B, i, le[i])
+				continue
 			}
-			le, _ := err.(LaneErrors)
-			if len(bad) > 0 && le == nil {
-				t.Fatalf("frozen=%v B=%d: no LaneErrors for %d poisoned lanes (err %v)", frozen, B, len(bad), err)
+			serial, err := pl.Probability(ps[i])
+			if err != nil {
+				t.Fatalf("B=%d lane %d: serial: %v", B, i, err)
 			}
-			for i := 0; i < B; i++ {
-				if bad[i] {
-					if !math.IsNaN(got[i]) {
-						t.Errorf("frozen=%v B=%d lane %d: poisoned lane = %v, want NaN", frozen, B, i, got[i])
-					}
-					if le[i] == nil {
-						t.Errorf("frozen=%v B=%d lane %d: poisoned lane has no error", frozen, B, i)
-					}
-					continue
-				}
-				if le != nil && le[i] != nil {
-					t.Errorf("frozen=%v B=%d lane %d: healthy lane failed: %v", frozen, B, i, le[i])
-					continue
-				}
-				serial, err := pl.Probability(ps[i])
-				if err != nil {
-					t.Fatalf("frozen=%v B=%d lane %d: serial: %v", frozen, B, i, err)
-				}
-				if math.Abs(got[i]-serial) > 1e-12 {
-					t.Errorf("frozen=%v B=%d lane %d: batch %v, serial %v", frozen, B, i, got[i], serial)
-				}
+			if math.Abs(got[i]-serial) > 1e-12 {
+				t.Errorf("B=%d lane %d: batch %v, serial %v", B, i, got[i], serial)
 			}
 		}
 	}
@@ -334,13 +323,10 @@ func TestMassEpsRejectsIdentically(t *testing.T) {
 		}
 	}
 
-	// Skew a frozen plan's compiled root layout so its mass genuinely drifts,
-	// then check the scalar and batch paths reject with the identical error.
+	// Skew a plan's compiled root layout so its mass genuinely drifts, then
+	// check the scalar and batch paths reject with the identical error.
 	pl, p, err := PrepareTID(gen.RSTChain(3, 0.5), rel.HardQuery(), Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.Freeze(); err != nil {
 		t.Fatal(err)
 	}
 	pl.prog.rootSets = nil // no root rows: total mass 0, far outside the window

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/logic"
 	"repro/internal/pdb"
 	"repro/internal/rel"
+	"repro/internal/treedec"
 )
 
 // Materialized is a live evaluation of a compiled plan: where the one-shot
@@ -42,22 +44,29 @@ import (
 // from scratch and the comparison never confuses float noise for change.
 //
 // A Materialized view is single-writer: it must be confined to one goroutine
-// (or externally locked, as incr.Store does). It may share its plan with
-// ordinary Probability/Result calls — those use their own pooled state — but
-// StageAttach mutates the plan's structure, after which any *other*
-// Materialized view of the same plan becomes stale and refuses further
-// operations. One live-updated plan therefore carries exactly one view.
+// (or externally locked, as incr.Store does). It never writes to its plan,
+// which may serve any number of concurrent evaluations and other views
+// meanwhile. The view reads the plan's structure and automaton until its
+// first StageAttach, which gives it private copies that every later attach
+// splices; other views of the plan are unaffected. Two views of one plan
+// must not attach at the same moment (see Plan).
 type Materialized struct {
-	pl        *Plan
+	pl *Plan
+	st *structure // the plan's until the first attach, then the view's own
+	au *automaton // likewise
+	// owned reports whether st and au are the view's private copies.
+	owned bool
+
 	pe        []float64   // current per-event weights
 	layouts   [][]rowKey  // persisted per-node row layouts
 	vals      [][]float64 // persisted per-node row values, same order
 	progs     []*nodeProg // lazily compiled per-node row programs
+	deltas    []*deltaIdx // per-node delta adjacency of progs, built on first partial recompute
 	dirty     []uint8     // per-node sweep flag: dirtyNone/dirtyDelta/dirtyFull
 	anyDirty  bool
 	prob      float64
 	recomp    int    // cumulative node recomputations, for cost accounting
-	structGen uint64 // plan structure generation this view tracks
+	structGen uint64 // bumped by every attach; a ShardCombiner recompiles on it
 	commitGen uint64 // bumped by every Commit that changed the root table;
 	// lets a ShardCombiner skip shards whose tables are unchanged
 
@@ -92,22 +101,23 @@ const (
 )
 
 // Materialize runs one full evaluation of the plan under p and keeps every
-// node table, returning the live view. The plan may be frozen if only event
-// probabilities will change (Prepare's structural pass visited every
-// transition the per-node compiles can need); StageAttach additionally
-// requires it unfrozen.
+// node table, returning the live view. It copies nothing of the plan: the
+// view's per-node compiles walk the transitions Prepare's pass visited, so
+// they only read the plan's automaton. Safe for concurrent calls.
 func (pl *Plan) Materialize(p logic.Prob) (*Materialized, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	m := &Materialized{
-		pl:        pl,
-		pe:        make([]float64, len(pl.events)),
-		layouts:   make([][]rowKey, len(pl.nodes)),
-		vals:      make([][]float64, len(pl.nodes)),
-		progs:     make([]*nodeProg, len(pl.nodes)),
-		dirty:     make([]uint8, len(pl.nodes)),
-		structGen: pl.structGen,
+		pl:      pl,
+		st:      &pl.structure,
+		au:      &pl.automaton,
+		pe:      make([]float64, len(pl.events)),
+		layouts: make([][]rowKey, len(pl.nodes)),
+		vals:    make([][]float64, len(pl.nodes)),
+		progs:   make([]*nodeProg, len(pl.nodes)),
+		deltas:  make([]*deltaIdx, len(pl.nodes)),
+		dirty:   make([]uint8, len(pl.nodes)),
 	}
 	for i, e := range pl.events {
 		m.pe[i] = p.P(e)
@@ -133,26 +143,24 @@ func (m *Materialized) Probability() float64 { return m.prob }
 func (m *Materialized) Recomputed() int { return m.recomp }
 
 // NumNodes returns the current number of nice nodes (and persisted tables).
-func (m *Materialized) NumNodes() int { return len(m.pl.nodes) }
+func (m *Materialized) NumNodes() int { return len(m.st.nodes) }
 
-func (m *Materialized) check() error {
-	if m.structGen != m.pl.structGen {
-		return fmt.Errorf("core: the plan's structure changed under this Materialized view")
-	}
-	return nil
-}
+// Shape returns the structural statistics of the view's current nice
+// decomposition, attached facts included.
+func (m *Materialized) Shape() treedec.Stats { return m.st.Shape() }
+
+// EventIndex returns the position of event e among the view's events — the
+// index a LaneOverride names — or -1 when e is not one of them.
+func (m *Materialized) EventIndex(e logic.Event) int { return m.st.EventIndex(e) }
 
 // Stage records a new probability for event e without recomputing anything:
 // it updates the weight and marks the event's forget node dirty. Commit
 // applies all staged changes at once.
 func (m *Materialized) Stage(e logic.Event, pr float64) error {
-	if err := m.check(); err != nil {
-		return err
-	}
 	if err := pdb.ValidateProb(pr); err != nil {
 		return fmt.Errorf("core: event %q: %w", e, err)
 	}
-	idx, ok := m.pl.eventIdx[e]
+	idx, ok := m.st.eventIdx[e]
 	if !ok {
 		return fmt.Errorf("core: event %q is not an event of the plan", e)
 	}
@@ -160,7 +168,7 @@ func (m *Materialized) Stage(e logic.Event, pr float64) error {
 		return nil
 	}
 	m.pe[idx] = pr
-	t := m.pl.forgetAt[idx]
+	t := m.st.forgetAt[idx]
 	if t < 0 {
 		return fmt.Errorf("core: event %q has no forget node (internal invariant violated)", e)
 	}
@@ -169,26 +177,67 @@ func (m *Materialized) Stage(e logic.Event, pr float64) error {
 	return nil
 }
 
+// findAttach locates the node a new fact with the given arguments can be
+// absorbed at: the shallowest nice node whose bag contains every argument
+// vertex. It reports an error when the fact cannot be absorbed — an argument
+// outside the prepared domain, no covering bag, or a bag already at the
+// event-bit budget.
+func (m *Materialized) findAttach(f rel.Fact) (node int, err error) {
+	scope := make([]int, 0, len(f.Args))
+	seen := make(map[int]struct{}, len(f.Args))
+	for _, a := range f.Args {
+		v, ok := m.pl.di.ByName[a]
+		if !ok {
+			return -1, fmt.Errorf("core: constant %q of fact %s is outside the prepared domain", a, f)
+		}
+		if _, dup := seen[v]; !dup {
+			seen[v] = struct{}{}
+			scope = append(scope, v)
+		}
+	}
+	t := m.st.nice.AttachPoint(scope)
+	if t < 0 {
+		return -1, fmt.Errorf("core: no bag of the decomposition covers the arguments of %s", f)
+	}
+	if countEvents(m.st.nice.Nodes[t].Bag, m.pl.nDom) >= 60 {
+		return -1, fmt.Errorf("core: the covering bag of %s is at the event-bit budget", f)
+	}
+	return t, nil
+}
+
+// CanAttach reports whether StageAttach would absorb a fact with the given
+// arguments: some bag of the view's decomposition covers them. The
+// pre-flight check incr.Store runs before committing to the in-place
+// insertion path.
+func (m *Materialized) CanAttach(f rel.Fact) bool {
+	_, err := m.findAttach(f)
+	return err == nil
+}
+
 // StageAttach absorbs a brand-new fact into the live view: fact f, already
 // appended to the instance the plan was prepared on, is spliced into the
-// compiled structure under the fresh event e with probability pr (see
-// Plan.attachFact), and the new nodes are marked dirty for the next Commit.
-// f must not have been a fact of the instance before (re-adding an existing
-// fact merges annotations in the instance but would home the fact twice in
-// the plan; callers revive existing facts by raising their event probability
+// view's structure under the fresh event e with probability pr (see splice),
+// and the new nodes are marked dirty for the next Commit. f must not have
+// been a fact of the instance before (re-adding an existing fact merges
+// annotations in the instance but would home the fact twice in the view;
+// callers revive existing facts by raising their event probability
 // instead). On any error the view is unchanged.
 func (m *Materialized) StageAttach(f rel.Fact, e logic.Event, pr float64) error {
-	if err := m.check(); err != nil {
-		return err
-	}
 	if err := pdb.ValidateProb(pr); err != nil {
 		return fmt.Errorf("core: event %q: %w", e, err)
 	}
-	_, forget, err := m.pl.attachFact(f, e)
+	if _, dup := m.st.eventIdx[e]; dup {
+		return fmt.Errorf("core: event %q is already an event of the plan", e)
+	}
+	t, err := m.findAttach(f)
 	if err != nil {
 		return err
 	}
-	m.structGen = m.pl.structGen
+	if !m.owned {
+		m.st, m.au, m.owned = m.st.clone(), m.au.clone(), true
+	}
+	forget := m.splice(t, f, e)
+	m.structGen++
 	// The spliced introduce/forget pair holds the last two node indices;
 	// their nil programs and tables are compiled and built by the next
 	// Commit.
@@ -196,17 +245,86 @@ func (m *Materialized) StageAttach(f rel.Fact, e logic.Event, pr float64) error 
 	m.layouts = append(m.layouts, nil, nil)
 	m.vals = append(m.vals, nil, nil)
 	m.progs = append(m.progs, nil, nil)
+	m.deltas = append(m.deltas, nil, nil)
 	m.dirty = append(m.dirty, dirtyFull, dirtyFull)
 	// The splice changes the row layout flowing up from the attach point
 	// (the fact transition can mint new state sets), so every ancestor's
 	// compiled program — wired against the old child layouts — is stale:
 	// drop them for lazy recompilation during the commit sweep.
-	for a := m.pl.parents[forget]; a >= 0; a = m.pl.parents[a] {
-		m.progs[a] = nil
+	for a := m.st.parents[forget]; a >= 0; a = m.st.parents[a] {
+		m.progs[a], m.deltas[a] = nil, nil
 		m.dirty[a] = dirtyFull
 	}
 	m.anyDirty = true
 	return nil
+}
+
+// splice inserts fact f into the view's own structure above node t: a fresh
+// event e is introduced and immediately forgotten between t and its parent,
+// and the fact is homed at the introduce node with annotation e. The
+// covering bag already coloured the arguments, so the fact reaches the query
+// through its signature like every prepared fact. Because the event pair is
+// local, every other node's bag, bit layout and table are untouched; only
+// the spliced nodes and their root path need recomputation. It returns the
+// forget node.
+func (m *Materialized) splice(t int, f rel.Fact, e logic.Event) int {
+	pl, st := m.pl, m.st
+	bag := st.nice.Nodes[t].Bag
+	var colourBuf []int
+	sig := factSignature(pl.q, f, pl.di, pl.colour, &colourBuf)
+	eventIdx := len(st.events)
+	v := pl.nDom + eventIdx // beyond every existing vertex: domain, then events in order
+	pos := countEvents(bag, pl.nDom)
+	st.events = append(st.events, e)
+	st.eventIdx[e] = eventIdx
+
+	// The new vertex is the largest, so the introduce bag stays sorted by
+	// appending.
+	intro := len(st.nodes)
+	forget := intro + 1
+	introBag := append(append(make([]int, 0, len(bag)+1), bag...), v)
+	st.nice.Nodes = append(st.nice.Nodes,
+		treedec.NiceNode{Kind: treedec.NiceIntroduce, Vertex: v, Bag: introBag, Children: []int{t}},
+		treedec.NiceNode{Kind: treedec.NiceForget, Vertex: v, Bag: append([]int(nil), bag...), Children: []int{intro}},
+	)
+	st.nodes = append(st.nodes,
+		planNode{
+			kind: treedec.NiceIntroduce, colour: -1, child0: t, child1: -1,
+			isEvent: true, pos: pos, eventIdx: -1,
+			facts: []planFact{{sig: sig, cf: logic.CompileVar(pos)}},
+		},
+		planNode{
+			kind: treedec.NiceForget, colour: -1, child0: intro, child1: -1,
+			isEvent: true, pos: pos, eventIdx: eventIdx,
+		},
+	)
+	if parent := st.parents[t]; parent < 0 {
+		st.nice.Root = forget
+		st.root = forget
+	} else {
+		pn := &st.nodes[parent]
+		if pn.child0 == t {
+			pn.child0 = forget
+		} else {
+			pn.child1 = forget
+		}
+		// Children slices are carved from one array the plan shares: give
+		// the parent a fresh one instead of writing through it.
+		nn := &st.nice.Nodes[parent]
+		children := slices.Clone(nn.Children)
+		for i, c := range children {
+			if c == t {
+				children[i] = forget
+			}
+		}
+		nn.Children = children
+	}
+	if w := len(introBag) - 1; w > st.width {
+		st.width = w
+	}
+	st.post = st.nice.PostOrder()
+	st.rebuildTopology()
+	return forget
 }
 
 // CommitStats reports what one CommitDelta actually did: how many node
@@ -240,28 +358,25 @@ func (m *Materialized) Commit() (int, error) {
 // Spines shared between staged updates are recomputed once.
 func (m *Materialized) CommitDelta() (CommitStats, error) {
 	var cs CommitStats
-	if err := m.check(); err != nil {
-		return cs, err
-	}
 	if !m.anyDirty {
 		return cs, nil
 	}
-	if n := len(m.pl.nodes); len(m.changedGen) < n {
+	if n := len(m.st.nodes); len(m.changedGen) < n {
 		m.changedRows = append(m.changedRows, make([][]int32, n-len(m.changedRows))...)
 		m.changedGen = append(m.changedGen, make([]uint64, n-len(m.changedGen))...)
 	}
 	m.deltaGen++
 	gen := m.deltaGen
-	root := m.pl.root
+	root := m.st.root
 	rootChanged := false
 	var dp *detPass
-	for _, t := range m.pl.post {
+	for _, t := range m.st.post {
 		d := m.dirty[t]
 		if d == dirtyNone {
 			continue
 		}
 		m.dirty[t] = dirtyNone
-		nd := &m.pl.nodes[t]
+		nd := &m.st.nodes[t]
 		staged := d == dirtyFull
 		full := staged || d == dirtyDense || m.progs[t] == nil
 		var ch0, ch1 []int32
@@ -283,7 +398,7 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 		recompiled := false
 		if np == nil {
 			if dp == nil {
-				dp = newDetPass(m.pl) // this commit's structural scratch
+				dp = newDetPass(m.pl.q, m.st, m.au, m.owned) // this commit's structural scratch
 			}
 			np = new(nodeProg)
 			m.layouts[t] = dp.compileNodeProg(t, m.layouts, np, nil)
@@ -326,12 +441,12 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 		case full:
 			changed, dense = m.commitFull(t, np, c0, c1, w, recompiled, m.changedRows[t][:0], &cs)
 		default:
-			changed = m.commitPartial(np, m.vals[t], c0, c1, w, ch0, ch1, m.changedRows[t][:0], &cs)
+			changed = m.commitPartial(t, np, c0, c1, w, ch0, ch1, m.changedRows[t][:0], &cs)
 		}
 		cs.Nodes++
 		switch {
 		case dense:
-			if p := m.pl.parents[t]; p >= 0 && m.dirty[p] < dirtyDense {
+			if p := m.st.parents[t]; p >= 0 && m.dirty[p] < dirtyDense {
 				m.dirty[p] = dirtyDense
 			}
 			if t == root {
@@ -340,7 +455,7 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 		case len(changed) > 0:
 			m.changedRows[t] = changed
 			m.changedGen[t] = gen
-			if p := m.pl.parents[t]; p >= 0 && m.dirty[p] == dirtyNone {
+			if p := m.st.parents[t]; p >= 0 && m.dirty[p] == dirtyNone {
 				m.dirty[p] = dirtyDelta
 			}
 			if t == root {
@@ -350,7 +465,7 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 			if changed != nil {
 				m.changedRows[t] = changed // keep the (possibly regrown) buffer
 			}
-			if m.pl.parents[t] >= 0 {
+			if m.st.parents[t] >= 0 {
 				cs.ShortCircuits++
 			}
 		}
@@ -366,7 +481,7 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 	rootVals := m.vals[root]
 	for i, k := range m.layouts[root] {
 		mass += rootVals[i]
-		if m.pl.accept[k.set] {
+		if m.au.accept[k.set] {
 			prob += rootVals[i]
 		}
 	}
@@ -393,15 +508,16 @@ func (m *Materialized) CommitDelta() (CommitStats, error) {
 // new) child layouts, so its old table is not comparable row by row and
 // counts as dense outright.
 func (m *Materialized) commitFull(t int, np *nodeProg, c0, c1 []float64, w float64, recompiled bool, changed []int32, cs *CommitStats) ([]int32, bool) {
-	if cap(m.valScratch) < np.rows {
-		m.valScratch = make([]float64, np.rows)
+	rows := int(np.rows)
+	if cap(m.valScratch) < rows {
+		m.valScratch = make([]float64, rows)
 	}
-	scratch := m.valScratch[:np.rows]
+	scratch := m.valScratch[:rows]
 	clear(scratch)
 	runNodeProg1(np, scratch, c0, c1, w)
-	cs.Rows += np.rows
+	cs.Rows += rows
 	old := m.vals[t]
-	if recompiled || len(old) != np.rows {
+	if recompiled || len(old) != rows {
 		m.vals[t] = append(old[:0], scratch...)
 		return changed, true
 	}
@@ -432,18 +548,19 @@ func (m *Materialized) commitFull(t int, np *nodeProg, c0, c1 []float64, w float
 // fully changed. This is bit-identical to commitFull's recompute — only the
 // bookkeeping differs.
 func (m *Materialized) commitTrusted(t int, np *nodeProg, c0, c1 []float64, w float64, cs *CommitStats) {
+	rows := int(np.rows)
 	v := m.vals[t]
-	if len(v) != np.rows {
-		if cap(v) < np.rows {
-			v = make([]float64, np.rows)
+	if len(v) != rows {
+		if cap(v) < rows {
+			v = make([]float64, rows)
 		} else {
-			v = v[:np.rows]
+			v = v[:rows]
 		}
 		m.vals[t] = v
 	}
 	clear(v)
 	runNodeProg1(np, v, c0, c1, w)
-	cs.Rows += np.rows
+	cs.Rows += rows
 }
 
 // deltaIdx is the lazily built adjacency of one compiled row program, used
@@ -458,7 +575,7 @@ type deltaIdx struct {
 	src1Start []int32 // CSR over child1 rows (joins only)
 	src1Dst   []int32
 	dstStart  []int32 // CSR over this node's rows: contributions, program order
-	dstSrc    []int32 // pkUnary: src row; pkForgetEvent: src<<1 | (0 for e1, 1 for e0)
+	dstSrc    []int32 // pkUnary: src row; pkForgetEvent: src<<1 | (0 in edges[:n1], 1 after)
 	dstL      []int32 // pkJoin: left source rows
 	dstR      []int32 // pkJoin: right source rows
 }
@@ -498,35 +615,30 @@ func csr32(start []int32, n, m int, key func(int) int32, fill func(entry, slot i
 // child table sizes the forward indexes span.
 func (np *nodeProg) buildDeltaIdx(nc0, nc1 int) *deltaIdx {
 	di := &deltaIdx{}
+	rows := int(np.rows)
 	switch np.kind {
-	case pkUnary:
+	case pkUnary, pkForgetEvent:
+		// A forget-event program's edge list is already in program order —
+		// edges[:n1] with weight w, then edges[n1:] with 1-w — so the branch
+		// rides in dstSrc's low bit.
+		fe := np.kind == pkForgetEvent
 		di.src0Dst = make([]int32, len(np.edges))
 		di.src0Start = csr32(nil, nc0, len(np.edges),
 			func(i int) int32 { return np.edges[i].src },
 			func(i, s int) { di.src0Dst[s] = np.edges[i].dst })
 		di.dstSrc = make([]int32, len(np.edges))
-		di.dstStart = csr32(nil, np.rows, len(np.edges),
+		di.dstStart = csr32(nil, rows, len(np.edges),
 			func(i int) int32 { return np.edges[i].dst },
-			func(i, s int) { di.dstSrc[s] = np.edges[i].src })
-	case pkForgetEvent:
-		// One merged edge list in program order — all e1 (weight w), then
-		// all e0 (weight 1-w) — with the branch encoded in the low bit.
-		n1 := len(np.e1)
-		n := n1 + len(np.e0)
-		at := func(i int) (rpEdge, int32) {
-			if i < n1 {
-				return np.e1[i], 0
-			}
-			return np.e0[i-n1], 1
-		}
-		di.src0Dst = make([]int32, n)
-		di.src0Start = csr32(nil, nc0, n,
-			func(i int) int32 { e, _ := at(i); return e.src },
-			func(i, s int) { e, _ := at(i); di.src0Dst[s] = e.dst })
-		di.dstSrc = make([]int32, n)
-		di.dstStart = csr32(nil, np.rows, n,
-			func(i int) int32 { e, _ := at(i); return e.dst },
-			func(i, s int) { e, k := at(i); di.dstSrc[s] = e.src<<1 | k })
+			func(i, s int) {
+				src := np.edges[i].src
+				if fe {
+					src <<= 1
+					if int32(i) >= np.n1 {
+						src |= 1
+					}
+				}
+				di.dstSrc[s] = src
+			})
 	case pkJoin:
 		di.src0Dst = make([]int32, len(np.joins))
 		di.src0Start = csr32(nil, nc0, len(np.joins),
@@ -538,30 +650,31 @@ func (np *nodeProg) buildDeltaIdx(nc0, nc1 int) *deltaIdx {
 			func(i, s int) { di.src1Dst[s] = np.joins[i].dst })
 		di.dstL = make([]int32, len(np.joins))
 		di.dstR = make([]int32, len(np.joins))
-		di.dstStart = csr32(nil, np.rows, len(np.joins),
+		di.dstStart = csr32(nil, rows, len(np.joins),
 			func(i int) int32 { return np.joins[i].dst },
 			func(i, s int) { di.dstL[s], di.dstR[s] = np.joins[i].l, np.joins[i].r })
 	}
-	np.delta = di
 	return di
 }
 
-// commitPartial recomputes, in place, only the rows of vals that the
-// children's changed rows feed: it marks the dst rows reachable from ch0/ch1
-// through the program's delta adjacency, zeroes them, and re-accumulates
-// every contribution into those rows in program order — so a recomputed row
-// is bit-identical to what a full recompute would produce, and the
-// unaffected rows (whose inputs are untouched) already are. Work is
+// commitPartial recomputes, in place, only the rows of node t's table that
+// the children's changed rows feed: it marks the dst rows reachable from
+// ch0/ch1 through the program's delta adjacency, zeroes them, and
+// re-accumulates every contribution into those rows in program order — so a
+// recomputed row is bit-identical to what a full recompute would produce,
+// and the unaffected rows (whose inputs are untouched) already are. Work is
 // proportional to the edges incident to the changed and affected rows, not
 // to the program size.
-func (m *Materialized) commitPartial(np *nodeProg, vals, c0, c1 []float64, w float64, ch0, ch1 []int32, changed []int32, cs *CommitStats) []int32 {
-	di := np.delta
+func (m *Materialized) commitPartial(t int, np *nodeProg, c0, c1 []float64, w float64, ch0, ch1 []int32, changed []int32, cs *CommitStats) []int32 {
+	vals := m.vals[t]
+	di := m.deltas[t]
 	if di == nil {
 		di = np.buildDeltaIdx(len(c0), len(c1))
+		m.deltas[t] = di
 	}
 	m.markGen++
 	mg := m.markGen
-	dst := ensureMark(&m.dstMark, np.rows)
+	dst := ensureMark(&m.dstMark, int(np.rows))
 	aff := m.affList[:0]
 	for _, r := range ch0 {
 		for _, d := range di.src0Dst[di.src0Start[r]:di.src0Start[r+1]] {

@@ -284,7 +284,7 @@ func TestMaterializedAttach(t *testing.T) {
 	attach := func(e logic.Event, pr float64, rl string, args ...string) {
 		t.Helper()
 		f := rel.NewFact(rl, args...)
-		if !pl.CanAttach(f) {
+		if !m.CanAttach(f) {
 			t.Fatalf("cannot attach %s", f)
 		}
 		c.Add(f, logic.Var(e))
@@ -328,7 +328,7 @@ func TestMaterializedAttach(t *testing.T) {
 	}
 
 	// A fact with an unknown constant cannot be absorbed.
-	if pl.CanAttach(rel.NewFact("T", "zzz")) {
+	if m.CanAttach(rel.NewFact("T", "zzz")) {
 		t.Error("CanAttach accepted a fact outside the domain")
 	}
 }
@@ -337,22 +337,27 @@ func TestMaterializedAttach(t *testing.T) {
 // fact whose argument vertices share no bag of the decomposition.
 func TestMaterializedAttachOnChainFallbackCase(t *testing.T) {
 	tid := gen.RSTChain(30, 0.5)
-	pl, _, err := PrepareTID(tid, rel.HardQuery(), Options{})
+	pl, p, err := PrepareTID(tid, rel.HardQuery(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := pl.Materialize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// v0 and v25 are far apart on the chain: no bag holds both.
-	if pl.CanAttach(rel.NewFact("S", "v0", "v25")) {
+	if m.CanAttach(rel.NewFact("S", "v0", "v25")) {
 		t.Error("CanAttach accepted a scope no bag covers")
 	}
-	if !pl.CanAttach(rel.NewFact("S", "v3", "v4")) {
+	if !m.CanAttach(rel.NewFact("S", "v3", "v4")) {
 		t.Error("CanAttach refused an in-bag scope")
 	}
 }
 
-// TestMaterializedFrozenAndStale covers the guard rails: attach on a frozen
-// plan fails, a second view goes stale once the first one attaches, and
-// staging validates its inputs.
+// TestMaterializedFrozenAndStale covers the guard rails: staging validates
+// its inputs, and views of one plan are independent — after one view
+// attaches a fact, a second view of the same plan keeps answering for the
+// plan's instance, and the attaching view for the grown one.
 func TestMaterializedFrozenAndStale(t *testing.T) {
 	tid := gen.RSTChain(4, 0.5)
 	pl, p, err := PrepareTID(tid, rel.HardQuery(), Options{})
@@ -373,26 +378,7 @@ func TestMaterializedFrozenAndStale(t *testing.T) {
 		t.Error("Stage accepted 1.5")
 	}
 
-	// Frozen plans still serve SetEventProb but refuse attach.
-	fp, fpP, err := PrepareTID(tid, rel.HardQuery(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fp.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	fm, err := fp.Materialize(fpP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fm.SetEventProb(tid.EventOf(1), 0.2); err != nil {
-		t.Errorf("SetEventProb on frozen plan: %v", err)
-	}
-	if fp.CanAttach(rel.NewFact("R", "v0")) {
-		t.Error("CanAttach on a frozen plan")
-	}
-
-	// A second view of the same plan goes stale after the first attaches.
+	// A second view of the same plan stays correct after the first attaches.
 	c, cp := tid.ToCInstance()
 	spl, err := PrepareCQ(c, rel.HardQuery(), Options{})
 	if err != nil {
@@ -411,8 +397,34 @@ func TestMaterializedFrozenAndStale(t *testing.T) {
 	if _, err := v1.AttachFact(f, "fresh", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := v2.SetEventProb(tid.EventOf(0), 0.1); err == nil {
-		t.Error("stale view accepted an update after a foreign attach")
+	if _, err := v1.SetEventProb(tid.EventOf(0), 0.1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v2.SetEventProb(tid.EventOf(0), 0.1); err != nil {
+		t.Fatalf("second view after a foreign attach: %v", err)
+	}
+	cp[tid.EventOf(0)] = 0.1
+	want2, err := spl.Probability(cp) // the plan still describes the original instance
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp["fresh"] = 0.5
+	grown, err := PrepareCQ(c, rel.HardQuery(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want1, err := grown.Probability(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(v2.Probability()-want2) > 1e-12 {
+		t.Errorf("second view %v, plan %v", v2.Probability(), want2)
+	}
+	if math.Abs(v1.Probability()-want1) > 1e-12 {
+		t.Errorf("attaching view %v, fresh plan on the grown instance %v", v1.Probability(), want1)
+	}
+	if v2.NumNodes() != spl.NumNiceNodes() || v1.NumNodes() != spl.NumNiceNodes()+2 {
+		t.Errorf("node counts: plan %d, second view %d, attaching view %d", spl.NumNiceNodes(), v2.NumNodes(), v1.NumNodes())
 	}
 }
 
@@ -437,7 +449,7 @@ func TestMaterializedManyAttachesMatchOracle(t *testing.T) {
 			// Random S edge between adjacent chain elements (covered bags).
 			i := r.Intn(12)
 			f := rel.NewFact("S", fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1))
-			if c.Inst.IndexOf(f) >= 0 || !pl.CanAttach(f) {
+			if c.Inst.IndexOf(f) >= 0 || !m.CanAttach(f) {
 				continue
 			}
 			e := logic.Event(fmt.Sprintf("new%d", next))
@@ -471,12 +483,13 @@ func TestMaterializedManyAttachesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestPlanEvaluationAfterAttach evaluates the mutated plan itself after
-// Materialized.AttachFact: attaching drops the plan's row program, so its own
-// Probability, Result and ProbabilityBatch must recompile against the
-// spliced structure and agree with a plan freshly prepared on the grown
-// instance. It runs a CQ and an s-t connectivity query; the reach edges
-// touch the source, the target, the middle, and one is a self-loop.
+// TestPlanEvaluationAfterAttach evaluates a plan while a view of it grows
+// through Materialized.AttachFact: the plan's own Probability, Result and
+// ProbabilityBatch must stay bit-identical to their answers before the
+// first attach (the plan never sees the view's splices), while the view and
+// its lane pass agree with a plan freshly prepared on the grown instance. It
+// runs a CQ and an s-t connectivity query; the reach edges touch the source,
+// the target, the middle, and one is a self-loop.
 func TestPlanEvaluationAfterAttach(t *testing.T) {
 	reachTID := pdb.NewTID()
 	for i := 0; i < 6; i++ {
@@ -506,12 +519,24 @@ func TestPlanEvaluationAfterAttach(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			flip := func(p logic.Prob) logic.Prob {
+				alt := logic.Prob{}
+				for ev, v := range p {
+					alt[ev] = 1 - v
+				}
+				return alt
+			}
+			before, err := pl.ProbabilityBatch([]logic.Prob{p, flip(p)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := pl.NumNiceNodes()
 			m, err := pl.Materialize(p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, f := range tc.facts {
-				if !pl.CanAttach(f) {
+				if !m.CanAttach(f) {
 					t.Fatalf("cannot attach %s", f)
 				}
 				e := logic.Event(fmt.Sprintf("att%d", i))
@@ -521,52 +546,84 @@ func TestPlanEvaluationAfterAttach(t *testing.T) {
 				if _, err := m.AttachFact(f, e, pr); err != nil {
 					t.Fatal(err)
 				}
-
-				fresh, err := Prepare(c, tc.q, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				alt := logic.Prob{}
-				for ev, v := range p {
-					alt[ev] = 1 - v
-				}
+				alt := flip(p)
 				lanes := []logic.Prob{p, alt}
-				want, err := fresh.ProbabilityBatch(lanes)
-				if err != nil {
-					t.Fatal(err)
-				}
 
+				// The plan ignores the events it does not know, so it
+				// answers exactly as before the attach.
 				got, err := pl.Probability(p)
 				if err != nil {
 					t.Fatalf("after %s: Probability: %v", f, err)
 				}
-				if math.Abs(got-want[0]) > 1e-12 {
-					t.Errorf("after %s: Probability %v, fresh %v", f, got, want[0])
+				if got != before[0] {
+					t.Errorf("after %s: plan Probability %v, before the attach %v", f, got, before[0])
 				}
 				res, err := pl.Result(alt)
 				if err != nil {
 					t.Fatalf("after %s: Result: %v", f, err)
 				}
-				if math.Abs(res.Probability-want[1]) > 1e-12 {
-					t.Errorf("after %s: Result %v, fresh %v", f, res.Probability, want[1])
+				if res.Probability != before[1] {
+					t.Errorf("after %s: plan Result %v, before the attach %v", f, res.Probability, before[1])
 				}
-				if res.NiceNodes != m.NumNodes() {
-					t.Errorf("after %s: Result reports %d nice nodes, the view has %d", f, res.NiceNodes, m.NumNodes())
+				if res.NiceNodes != nodes {
+					t.Errorf("after %s: plan reports %d nice nodes, Prepare compiled %d", f, res.NiceNodes, nodes)
 				}
 				batch, err := pl.ProbabilityBatch(lanes)
 				if err != nil {
 					t.Fatalf("after %s: ProbabilityBatch: %v", f, err)
 				}
 				for l := range lanes {
-					if math.Abs(batch[l]-want[l]) > 1e-12 {
-						t.Errorf("after %s: lane %d %v, fresh %v", f, l, batch[l], want[l])
+					if batch[l] != before[l] {
+						t.Errorf("after %s: plan lane %d %v, before the attach %v", f, l, batch[l], before[l])
 					}
+				}
+
+				fresh, err := Prepare(c, tc.q, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.ProbabilityBatch(lanes)
+				if err != nil {
+					t.Fatal(err)
 				}
 				if math.Abs(m.Probability()-want[0]) > 1e-12 {
 					t.Errorf("after %s: view %v, fresh %v", f, m.Probability(), want[0])
+				}
+				if m.NumNodes() != nodes+2*(i+1) {
+					t.Errorf("after %s: view has %d nodes, want %d", f, m.NumNodes(), nodes+2*(i+1))
+				}
+				// The view's lane pass: lane 0 keeps the view's weights, lane 1
+				// overrides every event.
+				var ovs []LaneOverride
+				for ev, v := range alt {
+					ovs = append(ovs, LaneOverride{Lane: 1, Event: int32(m.EventIndex(ev)), P: v})
+				}
+				for l, v := range viewLanes(t, m, 2, ovs) {
+					if math.Abs(v-want[l]) > 1e-12 {
+						t.Errorf("after %s: view lane %d %v, fresh %v", f, l, v, want[l])
+					}
 				}
 			}
 		})
 	}
 }
 
+// viewLanes runs a view's lane pass under ovs and returns each lane's
+// accepting root mass.
+func viewLanes(t *testing.T, m *Materialized, B int, ovs []LaneOverride) []float64 {
+	t.Helper()
+	ls := new(laneScratch)
+	root, err := m.laneRoot(ls, B, ovs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, B)
+	for i, k := range m.layouts[m.st.root] {
+		if m.au.accept[k.set] {
+			for l := range out {
+				out[l] += root[i*B+l]
+			}
+		}
+	}
+	return out
+}

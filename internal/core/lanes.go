@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/core/kernel"
-	"repro/internal/logic"
 )
 
 // This file answers probability-override requests from live Materialized
@@ -23,20 +22,11 @@ import (
 // (incr runs them under the store's read lock).
 
 // LaneOverride sets the weight of one event in one lane of a lane pass.
-// Event is the event's index in the shard plan (Plan.EventIndex).
+// Event is the event's index in the shard view (Materialized.EventIndex).
 type LaneOverride struct {
 	Lane  int32
 	Event int32
 	P     float64
-}
-
-// EventIndex returns the position of event e among the plan's events — the
-// index a LaneOverride names — or -1 when e is not an event of the plan.
-func (pl *Plan) EventIndex(e logic.Event) int {
-	if i, ok := pl.eventIdx[e]; ok {
-		return i
-	}
-	return -1
 }
 
 // laneScratch is the working memory of one lane pass. Node and event marks
@@ -68,16 +58,13 @@ func grow[T any](s []T, n int) []T {
 // returns the root block (root rows × B, lane-major, in the root layout's
 // row order), taken from ls's arena.
 func (m *Materialized) laneRoot(ls *laneScratch, B int, ovs []LaneOverride) ([]float64, error) {
-	if err := m.check(); err != nil {
-		return nil, err
-	}
-	pl := m.pl
+	st := m.st
 	ls.gen++
 	gen := ls.gen
-	ls.mark = grow(ls.mark, len(pl.nodes))
-	ls.blocks = grow(ls.blocks, len(pl.nodes))
-	ls.evMark = grow(ls.evMark, len(pl.events))
-	ls.evSlot = grow(ls.evSlot, len(pl.events))
+	ls.mark = grow(ls.mark, len(st.nodes))
+	ls.blocks = grow(ls.blocks, len(st.nodes))
+	ls.evMark = grow(ls.evMark, len(st.events))
+	ls.evSlot = grow(ls.evSlot, len(st.events))
 	mark, evMark, evSlot := ls.mark, ls.evMark, ls.evSlot
 	weights := ls.weights[:0]
 
@@ -90,15 +77,15 @@ func (m *Materialized) laneRoot(ls *laneScratch, B int, ovs []LaneOverride) ([]f
 			return nil, fmt.Errorf("core: lane override (lane %d, event %d) out of range", o.Lane, o.Event)
 		}
 		if evMark[e] != gen {
-			if pl.forgetAt[e] < 0 {
-				return nil, fmt.Errorf("core: event %q has no forget node (internal invariant violated)", pl.events[e])
+			if st.forgetAt[e] < 0 {
+				return nil, fmt.Errorf("core: event %q has no forget node (internal invariant violated)", st.events[e])
 			}
 			evMark[e] = gen
 			evSlot[e] = int32(len(weights) / B)
 			for l := 0; l < B; l++ {
 				weights = append(weights, m.pe[e])
 			}
-			for t := pl.forgetAt[e]; t >= 0 && mark[t] != gen; t = pl.parents[t] {
+			for t := st.forgetAt[e]; t >= 0 && mark[t] != gen; t = st.parents[t] {
 				mark[t] = gen
 			}
 		}
@@ -108,7 +95,7 @@ func (m *Materialized) laneRoot(ls *laneScratch, B int, ovs []LaneOverride) ([]f
 
 	// Recompute the marked nodes bottom-up; skipping an unmarked one costs
 	// a single load, as in the commit sweep.
-	for _, t := range pl.post {
+	for _, t := range st.post {
 		if mark[t] != gen {
 			continue
 		}
@@ -116,7 +103,7 @@ func (m *Materialized) laneRoot(ls *laneScratch, B int, ovs []LaneOverride) ([]f
 		if np == nil {
 			return nil, fmt.Errorf("core: node %d has no compiled program (uncommitted view)", t)
 		}
-		nd := &pl.nodes[t]
+		nd := &st.nodes[t]
 		c0 := m.laneInput(ls, nd.child0, B)
 		c1 := m.laneInput(ls, nd.child1, B)
 		var w []float64
@@ -130,14 +117,14 @@ func (m *Materialized) laneRoot(ls *laneScratch, B int, ovs []LaneOverride) ([]f
 				kernel.Fill(w, m.pe[e])
 			}
 		}
-		dst := ls.arena.Get(np.rows * B)
+		dst := ls.arena.Get(int(np.rows) * B)
 		runNodeProg(np, B, dst, c0, c1, w)
 		ls.arena.Put(c0)
 		ls.arena.Put(c1)
 		ls.blocks[t] = dst
 	}
-	root := ls.blocks[pl.root]
-	ls.blocks[pl.root] = nil
+	root := ls.blocks[st.root]
+	ls.blocks[st.root] = nil
 	return root, nil
 }
 
@@ -204,7 +191,7 @@ func (sc *ShardCombiner) ProbabilityBatch(B int, ovs [][]LaneOverride, failed []
 			}
 			ls.arena.Put(root)
 		} else {
-			rootVals := m.vals[m.pl.root]
+			rootVals := m.vals[m.st.root]
 			for _, e := range step.edges {
 				kernel.ScaleAdd(next[int(e.out)*B:int(e.out)*B+B], cur[int(e.a)*B:int(e.a)*B+B], rootVals[ext[e.b]])
 			}

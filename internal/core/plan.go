@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -40,76 +41,116 @@ func errMassDrift(total float64) error {
 // traffic.
 //
 // The pass keeps its pair-level scratch to itself; the plan retains only the
-// program, the interned states and sets, and the set-level transition memos
-// that later per-node compiles (Materialize, attach recommits) look up.
+// program, its structure, and the automaton (interned states and sets, and
+// the set-level transition memos that a Materialized view's per-node
+// compiles look up).
 //
 // # Concurrency
 //
-// All per-evaluation state (weight buffers, row blocks) lives in pooled
-// evaluation states, so a plan is read-only under evaluation and any number
-// of goroutines may evaluate it concurrently once it is sealed by
-// (*Plan).Freeze (see also Serve). The one structural mutation left is
-// attachFact, which Materialized.StageAttach runs on an unfrozen plan
-// confined to one goroutine; Freeze forbids it from then on.
-//
-//pdblint:frozen
+// A plan is immutable once Prepare returns. All per-evaluation state (weight
+// buffers, row blocks) lives in pooled evaluation states, so any number of
+// goroutines may evaluate a plan and Materialize it concurrently. Structural
+// change belongs to the Materialized view that asks for it: StageAttach
+// splices a private copy of the structure and automaton, never the plan's.
+// Each view has one writer, and two views of one plan must not attach at the
+// same moment, because both call the plan's Query, whose caches are not safe
+// for concurrent use.
 type Plan struct {
 	q           Query
 	emitLineage bool
+	nDom        int
+	di          *rel.DomainIndex
+	colour      []int // colour of every domain vertex (treedec.Nice.Colour): what the automaton reads
 
-	events []logic.Event
-	nDom   int
-	width  int
-	nodes  []planNode
-	post   []int
-	root   int
-
-	// Structure retained for the incremental layer (Materialize, attachFact)
-	// and for shape reporting: the nice decomposition the nodes were compiled
-	// from, the domain index of the prepared instance and its colouring,
-	// per-node parents, the forget node applying each event's weight, and the
-	// event→index map.
-	nice      *treedec.Nice
-	di        *rel.DomainIndex
-	colour    []int // colour of every domain vertex (treedec.Nice.Colour): what the automaton reads
-	parents   []int
-	forgetAt  []int
-	eventIdx  map[logic.Event]int
-	structGen uint64 // bumped by attachFact; Materialized views check it
-
-	startSet int32
-
-	states stateInterner
-	sets   setInterner
-	accept []bool // accept[setID]: does the set contain an accepting state?
-
-	// Set-level determinization memos, written only by structural passes
-	// (Prepare's, and a Materialized commit's per-node recompiles). Keys are
-	// integers: the query's string states are touched only on the first
-	// encounter of a state or set. Transitions are addressed by colour and
-	// fact signature, never by vertex or fact, so the memos depend only on
-	// the query and the width: after the first few bags almost every lookup
-	// hits. Prepare's pass visits every transition the plan's structure can
-	// reach, so on a frozen plan every lookup hits and the memos are never
-	// written again.
-	setTrans   map[uint64]int32   // transKey(op, operand, set) -> successor set
-	joinCache  map[uint64]int32   // (left set, right set) -> joined set
-	stepCache  map[uint64][]int32 // transKey(op, operand, state) -> successor states
-	pruneCache map[string]int32   // unpruned set's key image -> pruned set
-
-	// frozen seals the plan for concurrent use; set by Freeze before the
-	// plan is shared across goroutines.
-	frozen bool
+	structure
+	automaton
 
 	// prog is the compiled row program (see rowprog.go), built by Prepare.
-	// attachFact drops it; the next evaluation on that (unfrozen,
-	// single-goroutine) plan recompiles it.
 	prog *rowProgram
 
 	// evalPool recycles per-evaluation state (weight buffers, row blocks);
 	// each Probability/ProbabilityBatch/Result call checks one out, so
 	// concurrent evaluations never share scratch.
 	evalPool sync.Pool
+}
+
+// structure is the compiled shape of a plan: the nodes, their topology, the
+// nice decomposition they were compiled from (AttachPoint searches it), the
+// forget node applying each event's weight, and the event index. A plan
+// never changes its own; a view that attaches facts splices a clone.
+type structure struct {
+	events   []logic.Event
+	eventIdx map[logic.Event]int
+	width    int
+	nodes    []planNode
+	post     []int
+	root     int
+	nice     *treedec.Nice
+	parents  []int
+	forgetAt []int
+}
+
+// clone copies what a splice writes: the event list and index, the compiled
+// nodes and the nice nodes (one parent's child pointer is rewired). The
+// topology slices are rebuilt wholesale by every splice, and a node's facts,
+// bag and children are never written through, so they stay shared.
+func (st *structure) clone() *structure {
+	c := *st
+	c.events = slices.Clone(st.events)
+	c.eventIdx = maps.Clone(st.eventIdx)
+	c.nodes = slices.Clone(st.nodes)
+	c.nice = &treedec.Nice{Nodes: slices.Clone(st.nice.Nodes), Root: st.nice.Root}
+	return &c
+}
+
+// automaton is the determinized query automaton over a structure: the
+// interned states and sets, and the set-level determinization memos.
+//
+// The memos are written only by structural passes (Prepare's, and the
+// per-node recompiles of a view that owns its automaton). Keys are integers:
+// the query's string states are touched only on the first encounter of a
+// state or set. Transitions are addressed by colour and fact signature,
+// never by vertex or fact, so the memos depend only on the query and the
+// width: after the first few bags almost every lookup hits. Prepare's pass
+// visits every transition the plan's structure can reach, so a pass over the
+// unchanged structure hits every lookup and never writes.
+type automaton struct {
+	startSet int32
+	states   stateInterner
+	sets     setInterner
+	accept   []bool // accept[setID]: does the set contain an accepting state?
+
+	setTrans   map[uint64]int32   // transKey(op, operand, set) -> successor set
+	joinCache  map[uint64]int32   // (left set, right set) -> joined set
+	stepCache  map[uint64][]int32 // transKey(op, operand, state) -> successor states
+	pruneCache map[string]int32   // unpruned set's key image -> pruned set
+}
+
+func newAutomaton() automaton {
+	return automaton{
+		states:     stateInterner{ids: map[string]int32{}},
+		sets:       setInterner{ids: map[string]int32{}},
+		setTrans:   map[uint64]int32{},
+		joinCache:  map[uint64]int32{},
+		stepCache:  map[uint64][]int32{},
+		pruneCache: map[string]int32{},
+	}
+}
+
+// clone copies the automaton's interners and memos. Interned member lists
+// and memoized successor lists are never written after creation, so they
+// stay shared.
+func (au *automaton) clone() *automaton {
+	return &automaton{
+		startSet:   au.startSet,
+		states:     stateInterner{ids: maps.Clone(au.states.ids), strs: slices.Clone(au.states.strs)},
+		sets:       setInterner{ids: maps.Clone(au.sets.ids), members: slices.Clone(au.sets.members)},
+		accept:     slices.Clone(au.accept),
+		setTrans:   maps.Clone(au.setTrans),
+		joinCache:  maps.Clone(au.joinCache),
+		stepCache:  maps.Clone(au.stepCache),
+		pruneCache: maps.Clone(au.pruneCache),
+	}
 }
 
 // evalState is the per-evaluation mutable state of a Plan: everything a
@@ -237,17 +278,18 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 	pl := &Plan{
 		q:           q,
 		emitLineage: opts.EmitLineage,
-		events:      j.events,
 		nDom:        nDom,
-		width:       d.Width(),
-		post:        nice.PostOrder(),
-		root:        nice.Root,
-		states:      stateInterner{ids: map[string]int32{}},
-		sets:        setInterner{ids: map[string]int32{}},
-		setTrans:    map[uint64]int32{},
-		joinCache:   map[uint64]int32{},
-		stepCache:   map[uint64][]int32{},
-		pruneCache:  map[string]int32{},
+		di:          di,
+		colour:      colour,
+		structure: structure{
+			events:   j.events,
+			eventIdx: j.eventIdx,
+			width:    d.Width(),
+			post:     nice.PostOrder(),
+			root:     nice.Root,
+			nice:     nice,
+		},
+		automaton: newAutomaton(),
 	}
 
 	// Home every fact at a nice node covering its args and events.
@@ -282,13 +324,9 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 		}
 		pl.nodes[t] = pn
 	}
-	pl.nice = nice
-	pl.di = di
-	pl.colour = colour
-	pl.eventIdx = j.eventIdx
 	pl.homeFacts(c, j, assign)
 	pl.rebuildTopology()
-	dp := newDetPass(pl)
+	dp := newDetPass(q, &pl.structure, &pl.automaton, true)
 	pl.startSet = dp.internStrings(detStep(q, q.Start(), func(s string) []string { return []string{s} }))
 	pl.prog = dp.compileProgram()
 	return pl, nil
@@ -324,28 +362,28 @@ func (pl *Plan) homeFacts(c *pdb.CInstance, j jointGraph, assign []int) {
 	}
 }
 
-// rebuildTopology derives the parent pointers and the per-event forget-node
-// index from the compiled nodes. Called by Prepare and again after attachFact
-// splices new nodes in.
-func (pl *Plan) rebuildTopology() {
-	pl.parents = make([]int, len(pl.nodes))
-	for i := range pl.parents {
-		pl.parents[i] = -1
+// rebuildTopology derives fresh parent pointers and the per-event
+// forget-node index from the compiled nodes. Called by Prepare and again
+// after a view splices new nodes in.
+func (st *structure) rebuildTopology() {
+	st.parents = make([]int, len(st.nodes))
+	for i := range st.parents {
+		st.parents[i] = -1
 	}
-	pl.forgetAt = make([]int, len(pl.events))
-	for i := range pl.forgetAt {
-		pl.forgetAt[i] = -1
+	st.forgetAt = make([]int, len(st.events))
+	for i := range st.forgetAt {
+		st.forgetAt[i] = -1
 	}
-	for t := range pl.nodes {
-		nd := &pl.nodes[t]
+	for t := range st.nodes {
+		nd := &st.nodes[t]
 		if nd.child0 >= 0 {
-			pl.parents[nd.child0] = t
+			st.parents[nd.child0] = t
 		}
 		if nd.child1 >= 0 {
-			pl.parents[nd.child1] = t
+			st.parents[nd.child1] = t
 		}
 		if nd.kind == treedec.NiceForget && nd.isEvent {
-			pl.forgetAt[nd.eventIdx] = t
+			st.forgetAt[nd.eventIdx] = t
 		}
 	}
 }
@@ -381,16 +419,23 @@ func (pl *Plan) Width() int { return pl.width }
 // NumNiceNodes returns the size of the compiled nice decomposition.
 func (pl *Plan) NumNiceNodes() int { return len(pl.nodes) }
 
-// Shape returns the structural statistics of the plan's nice decomposition.
+// Shape returns the structural statistics of the nice decomposition.
 // Depth bounds the per-update cost of a Materialized view: a single event
 // change recomputes at most depth+1 node tables.
-func (pl *Plan) Shape() treedec.Stats { return pl.nice.Stats() }
+func (st *structure) Shape() treedec.Stats { return st.nice.Stats() }
+
+// EventIndex returns the position of event e among the structure's events —
+// the index a LaneOverride names — or -1 when e is not one of its events.
+func (st *structure) EventIndex(e logic.Event) int {
+	if i, ok := st.eventIdx[e]; ok {
+		return i
+	}
+	return -1
+}
 
 // Probability evaluates the plan under the event probabilities p and
 // returns the exact query probability: one run of the compiled row program.
-// Safe for concurrent calls once the plan is frozen (see Freeze).
-//
-//pdblint:frozenentry
+// Safe for concurrent calls.
 func (pl *Plan) Probability(p logic.Prob) (float64, error) {
 	res, err := pl.eval(p, false)
 	if err != nil {
@@ -406,52 +451,31 @@ func (pl *Plan) Probability(p logic.Prob) (float64, error) {
 // The returned Result — in particular its lineage circuit — is owned by the
 // caller: every call builds a fresh circuit, and later evaluations on the
 // same plan (under any probability map) never mutate a previously returned
-// Result. Safe for concurrent calls once the plan is frozen (see Freeze).
-//
-//pdblint:frozenentry
+// Result. Safe for concurrent calls.
 func (pl *Plan) Result(p logic.Prob) (*Result, error) {
 	return pl.eval(p, pl.emitLineage)
 }
 
-// Freeze seals the plan for concurrent Probability / ProbabilityBatch /
-// Result calls from any number of goroutines. Prepare already compiled
-// everything an evaluation reads, so sealing only forbids the one remaining
-// structural mutation (attaching facts, see CanAttach). Freeze is idempotent
-// but must itself be called from a single goroutine, before the plan is
-// shared.
-func (pl *Plan) Freeze() error {
-	pl.program() // an attach may have dropped the program
-	pl.frozen = true
-	return nil
-}
-
-// Frozen reports whether the plan has been sealed for concurrent use.
-func (pl *Plan) Frozen() bool { return pl.frozen }
-
-// program returns the plan's row program, recompiling it when attachFact
-// dropped it. Only unfrozen plans, confined to one goroutine, can lack one.
-//
-//pdblint:mutates recompiles only after attachFact, which frozen plans refuse
-func (pl *Plan) program() *rowProgram {
-	if pl.prog == nil {
-		pl.prog = newDetPass(pl).compileProgram()
-	}
-	return pl.prog
-}
-
 // --- the structural pass ---
 
-// detPass is the scratch of one structural pass over a plan: the subset
-// construction of the determinized automaton and the row compiler share it,
-// and it is dropped when the pass ends, so the plan keeps nothing
-// pair-level. Prepare runs one pass over every node; a Materialized commit
-// that recompiles node programs runs its own.
+// detPass is the scratch of one structural pass over a structure and its
+// automaton: the subset construction of the determinized automaton and the
+// row compiler share it, and it is dropped when the pass ends, so the
+// automaton keeps nothing pair-level. Prepare runs one pass over every node;
+// a Materialized commit that recompiles node programs runs its own.
 //
-// The plan's set-level memos are consulted first; below a memo miss the
+// The automaton's set-level memos are consulted first; below a memo miss the
 // pass runs on flat arrays: a mark array indexed by state id and an
 // open-addressing pair table.
 type detPass struct {
-	pl *Plan
+	q  Query
+	st *structure
+	au *automaton
+
+	// owned reports whether the pass may fill the automaton's memos:
+	// Prepare's pass builds the plan's, and a view's pass owns the view's
+	// private copy. A pass over a borrowed automaton hits every lookup.
+	owned bool
 
 	// pairs memoizes the Join of state pairs for the whole pass.
 	pairs pairMemo
@@ -474,6 +498,7 @@ type detPass struct {
 	keys    []rowKey
 	runs    rowTable
 	runNext []int32
+	e0      []rpEdge // a forget-event node's false-bit edges, appended after the true-bit ones
 
 	join   func(a, b string) (string, bool) // the query's Join, unmemoized when it can be
 	pruner bool                             // the query implements SetPruner
@@ -527,12 +552,12 @@ func (pm *pairMemo) insert(i int, key uint64, v int32) {
 	}
 }
 
-func newDetPass(pl *Plan) *detPass {
-	dp := &detPass{pl: pl, join: pl.q.Join}
-	if dj, ok := pl.q.(directJoiner); ok {
+func newDetPass(q Query, st *structure, au *automaton, owned bool) *detPass {
+	dp := &detPass{q: q, st: st, au: au, owned: owned, join: q.Join}
+	if dj, ok := q.(directJoiner); ok {
 		dp.join = dj.JoinDirect
 	}
-	_, dp.pruner = pl.q.(SetPruner)
+	_, dp.pruner = q.(SetPruner)
 	return dp
 }
 
@@ -545,7 +570,7 @@ func (dp *detPass) begin() {
 // collect adds state s to the successor list unless it is already there.
 func (dp *detPass) collect(s int32) {
 	if int(s) >= len(dp.mark) {
-		dp.mark = grow(dp.mark, max(int(s)+1, len(dp.pl.states.strs)))
+		dp.mark = grow(dp.mark, max(int(s)+1, len(dp.au.states.strs)))
 	}
 	if dp.mark[s] != dp.gen {
 		dp.mark[s] = dp.gen
@@ -557,12 +582,10 @@ func (dp *detPass) collect(s int32) {
 // detStep or a SetPruner) and returns its set id. Sets are canonicalized by
 // sorting their interned state ids, so any permutation of the same strings
 // interns to the same id.
-//
-//pdblint:mutates set interning runs only on memo misses, which frozen plans never take (missUnlessUnfrozen)
 func (dp *detPass) internStrings(states []string) int32 {
 	ids := dp.ids[:0]
 	for _, s := range states {
-		ids = append(ids, dp.pl.states.id(s))
+		ids = append(ids, dp.au.states.id(s))
 	}
 	dp.ids = ids
 	sortInt32(ids)
@@ -581,34 +604,32 @@ func (dp *detPass) setKey(ids []int32) []byte {
 }
 
 // internIDs interns a sorted, deduplicated state-id set directly.
-//
-//pdblint:mutates set interning runs only on memo misses, which frozen plans never take (missUnlessUnfrozen)
 func (dp *detPass) internIDs(ids []int32) int32 {
-	pl := dp.pl
+	au := dp.au
 	key := dp.setKey(ids)
-	if id, ok := pl.sets.ids[string(key)]; ok {
+	if id, ok := au.sets.ids[string(key)]; ok {
 		return id
 	}
-	id := int32(len(pl.sets.members))
-	pl.sets.members = append(pl.sets.members, append([]int32(nil), ids...))
-	pl.sets.ids[string(key)] = id
+	id := int32(len(au.sets.members))
+	au.sets.members = append(au.sets.members, append([]int32(nil), ids...))
+	au.sets.ids[string(key)] = id
 	acc := false
 	for _, sid := range ids {
-		if pl.q.Accept(pl.states.strs[sid]) {
+		if dp.q.Accept(au.states.strs[sid]) {
 			acc = true
 			break
 		}
 	}
-	pl.accept = append(pl.accept, acc)
+	au.accept = append(au.accept, acc)
 	return id
 }
 
 // setStrings materializes a set's member state strings into the given
 // scratch buffer.
-func (pl *Plan) setStrings(set int32, buf []string) []string {
+func (au *automaton) setStrings(set int32, buf []string) []string {
 	out := buf[:0]
-	for _, id := range pl.sets.members[set] {
-		out = append(out, pl.states.strs[id])
+	for _, id := range au.sets.members[set] {
+		out = append(out, au.states.strs[id])
 	}
 	return out
 }
@@ -618,80 +639,74 @@ func (pl *Plan) setStrings(set int32, buf []string) []string {
 // query's SetPruner (if any), and interned. Unpruned sets are never interned:
 // the prune memo is keyed by their byte image, and each distinct one is
 // pruned at most once.
-//
-//pdblint:mutates memo fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
 func (dp *detPass) internCollected() int32 {
 	ids := dp.ids
 	sortInt32(ids)
 	if !dp.pruner {
 		return dp.internIDs(ids)
 	}
-	pl := dp.pl
+	au := dp.au
 	key := dp.setKey(ids)
-	if r, ok := pl.pruneCache[string(key)]; ok {
+	if r, ok := au.pruneCache[string(key)]; ok {
 		return r
 	}
-	pl.missUnlessUnfrozen()
+	dp.miss()
 	rawKey := string(key)
 	dp.strs = dp.strs[:0]
 	for _, id := range ids {
-		dp.strs = append(dp.strs, pl.states.strs[id])
+		dp.strs = append(dp.strs, au.states.strs[id])
 	}
-	r := dp.internStrings(prune(pl.q, dp.strs))
-	pl.pruneCache[rawKey] = r
+	r := dp.internStrings(prune(dp.q, dp.strs))
+	au.pruneCache[rawKey] = r
 	return r
 }
 
 // stepStates returns the successor state ids of a single state under the
 // given operation, computing them from the string-level Query interface on
 // first use only. Fact steps include the implicit identity transition.
-//
-//pdblint:mutates memo fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
 func (dp *detPass) stepStates(op uint8, arg int, state int32) []int32 {
-	pl := dp.pl
+	au := dp.au
 	k := transKey(op, arg, state)
-	if succs, ok := pl.stepCache[k]; ok {
+	if succs, ok := au.stepCache[k]; ok {
 		return succs
 	}
-	pl.missUnlessUnfrozen()
-	st := pl.states.strs[state]
+	dp.miss()
+	st := au.states.strs[state]
 	var out []string
 	switch op {
 	case opIntroduce:
-		out = pl.q.Introduce(st, arg)
+		out = dp.q.Introduce(st, arg)
 	case opForget:
-		out = pl.q.Forget(st, arg)
+		out = dp.q.Forget(st, arg)
 	case opFact:
-		out = append(pl.q.FactTransitions(st, arg), st)
+		out = append(dp.q.FactTransitions(st, arg), st)
 	}
 	succs := make([]int32, 0, len(out))
 	for _, s := range out {
-		succs = append(succs, pl.states.id(s))
+		succs = append(succs, au.states.id(s))
 	}
-	pl.stepCache[k] = succs
+	au.stepCache[k] = succs
 	return succs
 }
 
 // stepSet is the subset construction over interned sets: the successor of a
 // set is the pruned union of its members' successors. Results are memoized
 // per (operation, operand, set).
-//
-//pdblint:mutates memo fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
 func (dp *detPass) stepSet(op uint8, arg int, set int32) int32 {
-	pl := dp.pl
+	au := dp.au
 	k := transKey(op, arg, set)
-	if r, ok := pl.setTrans[k]; ok {
+	if r, ok := au.setTrans[k]; ok {
 		return r
 	}
-	pl.missUnlessUnfrozen()
+	dp.miss()
 	dp.begin()
-	for _, sid := range pl.sets.members[set] {
+	for _, sid := range au.sets.members[set] {
 		for _, s := range dp.stepStates(op, arg, sid) {
 			dp.collect(s)
 		}
 	}
 	r := dp.internCollected()
-	pl.setTrans[k] = r
+	au.setTrans[k] = r
 	return r
 }
 
@@ -706,25 +721,23 @@ type directJoiner interface {
 // member states is merged through the query's Join, behind the pass's pair
 // table, so each state pair reaches the string interface at most once per
 // pass. Results are memoized per set pair.
-//
-//pdblint:mutates memo fill on miss; misses panic on frozen plans (missUnlessUnfrozen)
 func (dp *detPass) joinSets(a, b int32) int32 {
-	pl := dp.pl
+	au := dp.au
 	k := uint64(uint32(a))<<32 | uint64(uint32(b))
-	if r, ok := pl.joinCache[k]; ok {
+	if r, ok := au.joinCache[k]; ok {
 		return r
 	}
-	pl.missUnlessUnfrozen()
+	dp.miss()
 	dp.begin()
-	for _, ia := range pl.sets.members[a] {
-		for _, ib := range pl.sets.members[b] {
+	for _, ia := range au.sets.members[a] {
+		for _, ib := range au.sets.members[b] {
 			pk := uint64(uint32(ia))<<32 | uint64(uint32(ib)) + 1
 			i, ok := dp.pairs.find(pk)
 			m := dp.pairs.vals[i]
 			if !ok {
 				m = -1
-				if merged, okJoin := dp.join(pl.states.strs[ia], pl.states.strs[ib]); okJoin {
-					m = pl.states.id(merged)
+				if merged, okJoin := dp.join(au.states.strs[ia], au.states.strs[ib]); okJoin {
+					m = au.states.id(merged)
 				}
 				dp.pairs.insert(i, pk, m)
 			}
@@ -734,17 +747,18 @@ func (dp *detPass) joinSets(a, b int32) int32 {
 		}
 	}
 	r := dp.internCollected()
-	pl.joinCache[k] = r
+	au.joinCache[k] = r
 	return r
 }
 
-// missUnlessUnfrozen asserts that a memo miss is legal: misses cannot occur
-// on a frozen plan (Prepare's pass visited every reachable transition), so
-// hitting one means the plan was mutated or an internal invariant broke —
-// panic rather than race on the sealed memos.
-func (pl *Plan) missUnlessUnfrozen() {
-	if pl.frozen {
-		panic("core: transition memo miss on a frozen Plan (internal invariant violated)")
+// miss asserts that the pass may fill a memo. A pass over a borrowed
+// automaton (a view's, before its first attach) compiles the structure
+// Prepare's pass already visited, so every lookup hits: a miss there means
+// an internal invariant broke, and filling the memo would write to a plan
+// other goroutines are reading — panic instead.
+func (dp *detPass) miss() {
+	if !dp.owned {
+		panic("core: transition memo miss on a borrowed automaton (internal invariant violated)")
 	}
 }
 
@@ -761,12 +775,12 @@ func (pl *Plan) runProgram(st *evalState, prog *rowProgram, p logic.Prob) []floa
 
 // rootVec evaluates the plan under p and extracts the root-table probability
 // of every state set in keys into out (0 for a set with no root row). Safe
-// for concurrent calls once the plan is frozen, like Probability.
+// for concurrent calls, like Probability.
 func (pl *Plan) rootVec(p logic.Prob, keys []int32, out []float64) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	prog := pl.program()
+	prog := pl.prog
 	st := pl.getState()
 	defer pl.putState(st)
 	root := pl.runProgram(st, prog, p)
@@ -785,7 +799,7 @@ func (pl *Plan) eval(p logic.Prob, emitLineage bool) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	prog := pl.program()
+	prog := pl.prog
 	st := pl.getState()
 	defer pl.putState(st)
 
@@ -859,130 +873,6 @@ func sortInt32(xs []int32) {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
 		}
 	}
-}
-
-// --- incremental structure growth ---
-
-// findAttach locates the node a new fact with the given arguments can be
-// absorbed at: the shallowest nice node whose bag contains every argument
-// vertex. It reports an error when the fact cannot be absorbed — an argument
-// outside the prepared domain, no covering bag, or a bag already at the
-// event-bit budget.
-func (pl *Plan) findAttach(f rel.Fact) (node int, err error) {
-	scope := make([]int, 0, len(f.Args))
-	seen := make(map[int]struct{}, len(f.Args))
-	for _, a := range f.Args {
-		v, ok := pl.di.ByName[a]
-		if !ok {
-			return -1, fmt.Errorf("core: constant %q of fact %s is outside the prepared domain", a, f)
-		}
-		if _, dup := seen[v]; !dup {
-			seen[v] = struct{}{}
-			scope = append(scope, v)
-		}
-	}
-	t := pl.nice.AttachPoint(scope)
-	if t < 0 {
-		return -1, fmt.Errorf("core: no bag of the decomposition covers the arguments of %s", f)
-	}
-	if countEvents(pl.nice.Nodes[t].Bag, pl.nDom) >= 60 {
-		return -1, fmt.Errorf("core: the covering bag of %s is at the event-bit budget", f)
-	}
-	return t, nil
-}
-
-// CanAttach reports whether attachFact would succeed for a fact with the
-// given arguments: the plan is unfrozen and some bag covers the arguments.
-// The pre-flight check incr.Store runs before committing to the in-place
-// insertion path.
-func (pl *Plan) CanAttach(f rel.Fact) bool {
-	if pl.frozen {
-		return false
-	}
-	_, err := pl.findAttach(f)
-	return err == nil
-}
-
-// attachFact splices fact f — newly appended to the plan's instance by the
-// caller — into the compiled structure: a fresh event e is introduced and
-// immediately forgotten above the shallowest bag covering the fact's
-// arguments, and the fact is homed at the introduce node with annotation e.
-// The covering bag already coloured the arguments, so the fact reaches the
-// query through its signature like every prepared fact.
-// Because the event pair is local, every other node's bag, bit layout and
-// table are untouched; only the spliced nodes and their root path need
-// recomputation (the caller — Materialized.StageAttach — marks them dirty).
-// The plan-level row program is dropped; the next plan evaluation
-// recompiles it.
-//
-// Attaching to a frozen plan is an error: it would grow the sealed
-// transition memos.
-func (pl *Plan) attachFact(f rel.Fact, e logic.Event) (intro, forget int, err error) {
-	if pl.frozen {
-		return 0, 0, fmt.Errorf("core: cannot attach a fact to a frozen plan")
-	}
-	if _, dup := pl.eventIdx[e]; dup {
-		return 0, 0, fmt.Errorf("core: event %q is already an event of the plan", e)
-	}
-	t, err := pl.findAttach(f)
-	if err != nil {
-		return 0, 0, err
-	}
-
-	bag := pl.nice.Nodes[t].Bag
-	var colourBuf []int
-	sig := factSignature(pl.q, f, pl.di, pl.colour, &colourBuf)
-	eventIdx := len(pl.events)
-	v := pl.nDom + eventIdx // beyond every existing vertex: domain, then events in order
-	pos := countEvents(bag, pl.nDom)
-	pl.events = append(pl.events, e)
-	pl.eventIdx[e] = eventIdx
-
-	// Splice introduce(v)+forget(v) between t and its parent. The new vertex
-	// is the largest, so the introduce bag stays sorted by appending.
-	intro = len(pl.nodes)
-	forget = intro + 1
-	introBag := append(append(make([]int, 0, len(bag)+1), bag...), v)
-	pl.nice.Nodes = append(pl.nice.Nodes,
-		treedec.NiceNode{Kind: treedec.NiceIntroduce, Vertex: v, Bag: introBag, Children: []int{t}},
-		treedec.NiceNode{Kind: treedec.NiceForget, Vertex: v, Bag: append([]int(nil), bag...), Children: []int{intro}},
-	)
-	pl.nodes = append(pl.nodes,
-		planNode{
-			kind: treedec.NiceIntroduce, colour: -1, child0: t, child1: -1,
-			isEvent: true, pos: pos, eventIdx: -1,
-			facts: []planFact{{sig: sig, cf: logic.CompileMask(logic.Var(e), map[logic.Event]int{e: pos})}},
-		},
-		planNode{
-			kind: treedec.NiceForget, colour: -1, child0: intro, child1: -1,
-			isEvent: true, pos: pos, eventIdx: eventIdx,
-		},
-	)
-	if parent := pl.parents[t]; parent < 0 {
-		pl.nice.Root = forget
-		pl.root = forget
-	} else {
-		pn := &pl.nodes[parent]
-		if pn.child0 == t {
-			pn.child0 = forget
-		} else {
-			pn.child1 = forget
-		}
-		nn := &pl.nice.Nodes[parent]
-		for i, c := range nn.Children {
-			if c == t {
-				nn.Children[i] = forget
-			}
-		}
-	}
-	if w := len(introBag) - 1; w > pl.width {
-		pl.width = w
-	}
-	pl.post = pl.nice.PostOrder()
-	pl.rebuildTopology()
-	pl.prog = nil
-	pl.structGen++
-	return intro, forget, nil
 }
 
 // sortDedupInt32 sorts xs and removes duplicates in place.

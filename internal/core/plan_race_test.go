@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -11,11 +12,11 @@ import (
 	"repro/internal/rel"
 )
 
-// TestPlanConcurrentMixedEvaluations hammers one frozen Plan from 8
-// goroutines with interleaved Probability and ProbabilityBatch calls and
-// checks every answer against serial references. Run under -race (CI does)
-// this is the proof that a frozen plan's transition caches, interners and
-// pooled evaluation states are safe for parallel readers.
+// TestPlanConcurrentMixedEvaluations hammers one Plan from 8 goroutines
+// with interleaved Probability and ProbabilityBatch calls and checks every
+// answer against serial references. Run under -race (CI does) this is the
+// proof that a plan's program, automaton and pooled evaluation states are
+// safe for parallel readers.
 func TestPlanConcurrentMixedEvaluations(t *testing.T) {
 	tid := gen.RSTChain(40, 0.5)
 	q := rel.HardQuery()
@@ -32,9 +33,6 @@ func TestPlanConcurrentMixedEvaluations(t *testing.T) {
 		if want[i], err = pl.Probability(m); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := pl.Freeze(); err != nil {
-		t.Fatal(err)
 	}
 
 	const goroutines = 8
@@ -86,33 +84,121 @@ func TestPlanConcurrentMixedEvaluations(t *testing.T) {
 	}
 }
 
-// TestFreezeIsIdempotent freezes twice and keeps evaluating.
-func TestFreezeIsIdempotent(t *testing.T) {
-	pl, p, err := PrepareTID(gen.RSTChain(6, 0.5), rel.HardQuery(), Options{})
+// TestPlanEvaluatesWhileViewAttaches evaluates a plan from several
+// goroutines — Probability, ProbabilityBatch and lineage Result — while a
+// view of the same plan grows by AttachFact and takes SetEventProb updates.
+// The plan's answers must stay bit-identical to its answers before the
+// first attach, and the view must end where a plan freshly prepared on the
+// grown instance is. Under -race this is the evidence that no view writes to
+// its plan.
+func TestPlanEvaluatesWhileViewAttaches(t *testing.T) {
+	tid := gen.RSTChain(24, 0.5)
+	c, p := tid.ToCInstance()
+	q := rel.HardQuery()
+	pl, err := PrepareCQ(c, q, Options{EmitLineage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := pl.Probability(p)
+	// The readers get their own maps: p goes on to track the view's
+	// instance.
+	r := rand.New(rand.NewSource(11))
+	base := logic.Prob{}
+	for e, v := range p {
+		base[e] = v
+	}
+	maps := append([]logic.Prob{base}, randomProbMaps(r, p, 3)...)
+	want := make([]float64, len(maps))
+	for i, m := range maps {
+		if want[i], err = pl.Probability(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantBatch, err := pl.ProbabilityBatch(maps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.Frozen() {
-		t.Fatal("plan frozen before Freeze")
-	}
-	if err := pl.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pl.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	if !pl.Frozen() {
-		t.Fatal("plan not frozen after Freeze")
-	}
-	after, err := pl.Probability(p)
+	res, err := pl.Result(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(before-after) > 1e-12 {
-		t.Errorf("freeze changed the answer: %v vs %v", before, after)
+	gates := res.Lineage.NumGates()
+	m, err := pl.Materialize(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		g := g
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; ; it++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				switch (g + it) % 3 {
+				case 0:
+					i := it % len(maps)
+					got, err := pl.Probability(maps[i])
+					if err != nil || got != want[i] {
+						t.Errorf("Probability = %v, %v; want %v", got, err, want[i])
+						return
+					}
+				case 1:
+					got, err := pl.ProbabilityBatch(maps)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range maps {
+						if got[i] != wantBatch[i] {
+							t.Errorf("lane %d = %v, want %v", i, got[i], wantBatch[i])
+							return
+						}
+					}
+				case 2:
+					res, err := pl.Result(base)
+					if err != nil || res.Probability != want[0] || res.Lineage.NumGates() != gates {
+						t.Errorf("Result = %+v, %v; want %v over %d gates", res, err, want[0], gates)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	// Reversed S edges share a bag with the forward ones, so each attaches.
+	for i := 0; i < 12; i++ {
+		f := rel.NewFact("S", fmt.Sprintf("v%d", 2*i+1), fmt.Sprintf("v%d", 2*i))
+		e := logic.Event(fmt.Sprintf("att%d", i))
+		pr := float64(1+i%9) / 10
+		c.Add(f, logic.Var(e))
+		p[e] = pr
+		if _, err := m.AttachFact(f, e, pr); err != nil {
+			t.Fatal(err)
+		}
+		ev := tid.EventOf(3 * i)
+		p[ev] = float64(i%5) / 4
+		if _, err := m.SetEventProb(ev, p[ev]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+
+	fresh, err := PrepareCQ(c, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantView, err := fresh.Probability(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(m.Probability()-wantView) > 1e-12 {
+		t.Errorf("view %v, fresh plan on the grown instance %v", m.Probability(), wantView)
 	}
 }

@@ -34,6 +34,9 @@ import (
 //     dense tables (compileNodeProg), so live-view spine recomputation runs
 //     the same kernels; a structure splice (StageAttach) just drops the
 //     affected nodes' programs for recompilation during the next commit.
+//
+// A program is never written after its compile (and, for the plan's, the
+// fusion pass).
 
 // nodeProg kinds.
 const (
@@ -61,16 +64,13 @@ type nodeProg struct {
 	kind     uint8
 	dead     bool  // folded into its consumer; the sweep skips it entirely
 	in0, in1 int32 // source nodes of c0/c1 (-1 when absent)
-	rows     int
-	eventIdx int      // pkForgetEvent: index of the weight lane applied here
-	edges    []rpEdge // pkUnary: plain gather-add edges
-	e0, e1   []rpEdge // pkForgetEvent: edges for rows with the event false / true
-	joins    []rpJoin // pkJoin
-
-	// delta is the lazily built edge adjacency used by the partial commit
-	// pass (see buildDeltaIdx); nil until a partial recompute first touches
-	// this program, dropped with the program on recompilation.
-	delta *deltaIdx
+	rows     int32
+	eventIdx int32 // pkForgetEvent: index of the weight lane applied here
+	// n1 splits a pkForgetEvent's edges: edges[:n1] feed rows with the event
+	// true (weight w), edges[n1:] rows with it false (weight 1-w).
+	n1    int32
+	edges []rpEdge // pkUnary: plain gather-add edges; pkForgetEvent: see n1
+	joins []rpJoin // pkJoin
 }
 
 // rowProgram is the whole-plan compile: one nodeProg per nice node plus the
@@ -101,11 +101,10 @@ func (dp *detPass) factRemap(nd *planNode, k rowKey) rowKey {
 // count is known or bounded by its child's). Rows are laid out in
 // first-encounter order over the deterministic child-layout iteration, so
 // recompiling a node whose children kept their layouts reproduces the same
-// layout. Memo misses determinize the transition on the spot; on a frozen
-// plan every lookup hits (Prepare's pass visited them all).
+// layout. Memo misses determinize the transition on the spot; over the
+// structure Prepare compiled every lookup hits (its pass visited them all).
 func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey, np *nodeProg, buf []rowKey) []rowKey {
-	pl := dp.pl
-	nd := &pl.nodes[t]
+	nd := &dp.st.nodes[t]
 	*np = nodeProg{eventIdx: -1, in0: int32(nd.child0), in1: int32(nd.child1)}
 	var child []rowKey
 	if nd.child0 >= 0 {
@@ -129,7 +128,7 @@ func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey, np *nodeProg, buf 
 	switch nd.kind {
 	case treedec.NiceLeaf:
 		np.kind = pkLeaf
-		dp.slot(nd, rowKey{set: pl.startSet})
+		dp.slot(nd, rowKey{set: dp.au.startSet})
 
 	case treedec.NiceIntroduce:
 		np.kind = pkUnary
@@ -151,17 +150,24 @@ func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey, np *nodeProg, buf 
 
 	case treedec.NiceForget:
 		if nd.isEvent {
+			// Every child row feeds one edge: true-bit edges first, then
+			// the false-bit ones, each in child-row order.
 			np.kind = pkForgetEvent
-			np.eventIdx = nd.eventIdx
+			np.eventIdx = int32(nd.eventIdx)
 			pos := nd.pos
+			np.edges = make([]rpEdge, 0, len(child))
+			e0 := dp.e0[:0]
 			for si, k := range child {
 				e := rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: k.set, bits: removeBit(k.bits, pos)})}
 				if k.bits&(1<<uint(pos)) != 0 {
-					np.e1 = append(np.e1, e)
+					np.edges = append(np.edges, e)
 				} else {
-					np.e0 = append(np.e0, e)
+					e0 = append(e0, e)
 				}
 			}
+			np.n1 = int32(len(np.edges))
+			np.edges = append(np.edges, e0...)
+			dp.e0 = e0
 		} else {
 			np.kind = pkUnary
 			np.edges = make([]rpEdge, 0, len(child))
@@ -205,7 +211,7 @@ func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey, np *nodeProg, buf 
 	}
 	keys := dp.keys
 	dp.keys = nil
-	np.rows = len(keys)
+	np.rows = int32(len(keys))
 	return keys
 }
 
@@ -298,12 +304,12 @@ func (rt *rowTable) insert(i int, k rowKey, v int32) {
 // array, and each child's layout, once its parent has consumed it, is
 // recycled as the backing array of a later node's layout.
 func (dp *detPass) compileProgram() *rowProgram {
-	pl := dp.pl
-	layouts := make([][]rowKey, len(pl.nodes))
-	progs := make([]nodeProg, len(pl.nodes))
-	prog := &rowProgram{nodes: make([]*nodeProg, len(pl.nodes))}
+	st := dp.st
+	layouts := make([][]rowKey, len(st.nodes))
+	progs := make([]nodeProg, len(st.nodes))
+	prog := &rowProgram{nodes: make([]*nodeProg, len(st.nodes))}
 	var free [][]rowKey
-	for _, t := range pl.post {
+	for _, t := range st.post {
 		var buf []rowKey
 		if n := len(free); n > 0 {
 			buf, free = free[n-1], free[:n-1]
@@ -311,7 +317,7 @@ func (dp *detPass) compileProgram() *rowProgram {
 		prog.nodes[t] = &progs[t]
 		layouts[t] = dp.compileNodeProg(t, layouts, &progs[t], buf)
 		// This node is the only consumer of its children's layouts.
-		if nd := &pl.nodes[t]; nd.child0 >= 0 {
+		if nd := &st.nodes[t]; nd.child0 >= 0 {
 			free = append(free, layouts[nd.child0])
 			layouts[nd.child0] = nil
 			if nd.child1 >= 0 {
@@ -320,8 +326,8 @@ func (dp *detPass) compileProgram() *rowProgram {
 			}
 		}
 	}
-	prog.fuseUnaryChains(pl.post, pl.root)
-	rootKeys := layouts[pl.root]
+	prog.fuseUnaryChains(st.post, st.root)
+	rootKeys := layouts[st.root]
 	prog.rootSets = make([]int32, len(rootKeys))
 	prog.rootRow = make(map[int32]int32, len(rootKeys))
 	for i, k := range rootKeys {
@@ -374,7 +380,7 @@ type fuser struct {
 // row's sources in edge order.
 func (f *fuser) invert(child *nodeProg) {
 	f.invSrc = grow(f.invSrc[:0], len(child.edges))
-	f.invStart = csr32(f.invStart, child.rows, len(child.edges),
+	f.invStart = csr32(f.invStart, int(child.rows), len(child.edges),
 		func(i int) int32 { return child.edges[i].dst },
 		func(i, s int) { f.invSrc[s] = child.edges[i].src })
 }
@@ -415,20 +421,17 @@ func (f *fuser) fuseInput(rp *rowProgram, np *nodeProg, in *int32, isLeft bool) 
 		}
 		f.invert(child)
 		switch np.kind {
-		case pkUnary:
-			n, ok := f.project(np.edges)
-			if !ok {
+		case pkUnary, pkForgetEvent:
+			// Each part (a unary's n1 is 0) is bounded on its own, and
+			// substitution keeps the parts in order, so the split moves to
+			// the first part's substituted length.
+			n1, ok1 := f.project(np.edges[:np.n1])
+			n0, ok0 := f.project(np.edges[np.n1:])
+			if !ok0 || !ok1 || n0+n1 > 2*len(np.edges)+16 {
 				return
 			}
-			np.edges = f.substEdges(np.edges, n)
-		case pkForgetEvent:
-			n0, ok0 := f.project(np.e0)
-			n1, ok1 := f.project(np.e1)
-			if !ok0 || !ok1 || n0+n1 > 2*(len(np.e0)+len(np.e1))+16 {
-				return
-			}
-			np.e0 = f.substEdges(np.e0, n0)
-			np.e1 = f.substEdges(np.e1, n1)
+			np.edges = f.substEdges(np.edges, n0+n1)
+			np.n1 = int32(n1)
 		case pkJoin:
 			n := 0
 			for _, j := range np.joins {
@@ -477,10 +480,10 @@ func runNodeProg(np *nodeProg, B int, dst, c0, c1, w []float64) {
 			kernel.AddTo(dst[int(e.dst)*B:int(e.dst)*B+B], c0[int(e.src)*B:int(e.src)*B+B])
 		}
 	case pkForgetEvent:
-		for _, e := range np.e1 {
+		for _, e := range np.edges[:np.n1] {
 			kernel.MulAdd(dst[int(e.dst)*B:int(e.dst)*B+B], c0[int(e.src)*B:int(e.src)*B+B], w)
 		}
-		for _, e := range np.e0 {
+		for _, e := range np.edges[np.n1:] {
 			kernel.FMAdd1m(dst[int(e.dst)*B:int(e.dst)*B+B], c0[int(e.src)*B:int(e.src)*B+B], w)
 		}
 	case pkJoin:
@@ -504,11 +507,11 @@ func runNodeProg1(np *nodeProg, dst, c0, c1 []float64, w float64) {
 			dst[e.dst] += c0[e.src]
 		}
 	case pkForgetEvent:
-		for _, e := range np.e1 {
+		for _, e := range np.edges[:np.n1] {
 			dst[e.dst] += c0[e.src] * w
 		}
 		w1m := 1 - w
-		for _, e := range np.e0 {
+		for _, e := range np.edges[np.n1:] {
 			dst[e.dst] += c0[e.src] * w1m
 		}
 	case pkJoin:
@@ -536,7 +539,7 @@ func (pl *Plan) runBatchProg(st *evalState, prog *rowProgram, pe []float64, B in
 		if np.dead {
 			continue // folded into its consumer by fuseUnaryChains
 		}
-		dst := st.arena.Get(np.rows * B)
+		dst := st.arena.Get(int(np.rows) * B)
 		var c0, c1 []float64
 		if np.in0 >= 0 {
 			c0 = blocks[np.in0]
@@ -546,7 +549,7 @@ func (pl *Plan) runBatchProg(st *evalState, prog *rowProgram, pe []float64, B in
 		}
 		var w []float64
 		if np.kind == pkForgetEvent {
-			w = pe[np.eventIdx*B : np.eventIdx*B+B]
+			w = pe[int(np.eventIdx)*B : int(np.eventIdx)*B+B]
 		}
 		runNodeProg(np, B, dst, c0, c1, w)
 		if c0 != nil {
@@ -595,7 +598,7 @@ func (pl *Plan) lineage(prog *rowProgram) (*circuit.Circuit, circuit.Gate) {
 		if np.in1 >= 0 {
 			g1, gates[np.in1] = gates[np.in1], nil
 		}
-		ors = grow(ors, np.rows)
+		ors = grow(ors, int(np.rows))
 		for r := range np.rows {
 			ors[r] = ors[r][:0]
 		}
@@ -609,10 +612,10 @@ func (pl *Plan) lineage(prog *rowProgram) (*circuit.Circuit, circuit.Gate) {
 		case pkForgetEvent:
 			lit1 := c.Var(pl.events[np.eventIdx])
 			lit0 := c.Not(lit1)
-			for _, e := range np.e1 {
+			for _, e := range np.edges[:np.n1] {
 				ors[e.dst] = append(ors[e.dst], c.And(g0[e.src], lit1))
 			}
-			for _, e := range np.e0 {
+			for _, e := range np.edges[np.n1:] {
 				ors[e.dst] = append(ors[e.dst], c.And(g0[e.src], lit0))
 			}
 		case pkJoin:

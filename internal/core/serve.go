@@ -14,7 +14,7 @@ import (
 // freely — many requests sharing one plan (a parameter sweep), or each
 // carrying its own (mixed queries). Exactly one of Plan and Sharded must be
 // set; component-sharded plans additionally fan their own shards over the
-// pool once frozen.
+// pool.
 type Request struct {
 	Plan    *Plan
 	Sharded *ShardedPlan
@@ -31,55 +31,20 @@ type Response struct {
 // one Response per request, in request order. workers <= 0 uses
 // runtime.GOMAXPROCS(0).
 //
-// Every distinct plan is frozen (Freeze) before the fan-out, so a single
-// compiled plan can be shared by any number of concurrent requests; the
-// per-request work is only the numeric dynamic program. Requests whose plan
-// fails to freeze (or is nil) get the error in their Response rather than
-// failing the whole batch.
+// Plans are immutable, so a single compiled plan can be shared by any number
+// of concurrent requests; the per-request work is only the numeric dynamic
+// program. A malformed request (no plan, or both kinds) gets the error in its
+// Response rather than failing the whole batch.
 func Serve(reqs []Request, workers int) []Response {
 	out := make([]Response, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-
-	// Freeze each distinct plan once, serially, before sharing it.
-	freezeErr := map[*Plan]error{}
-	shardedErr := map[*ShardedPlan]error{}
-	for _, r := range reqs {
-		if r.Plan != nil {
-			if _, seen := freezeErr[r.Plan]; !seen {
-				freezeErr[r.Plan] = r.Plan.Freeze()
-			}
-		}
-		if r.Sharded != nil {
-			if _, seen := shardedErr[r.Sharded]; !seen {
-				shardedErr[r.Sharded] = r.Sharded.Freeze()
-			}
-		}
-	}
-
 	runPool(len(reqs), workers, func(i int) {
 		req := reqs[i]
 		switch {
 		case req.Plan != nil && req.Sharded != nil:
 			out[i].Err = fmt.Errorf("core: request %d sets both Plan and Sharded", i)
 		case req.Plan != nil:
-			if err := freezeErr[req.Plan]; err != nil {
-				out[i].Err = err
-				return
-			}
 			out[i].Probability, out[i].Err = req.Plan.Probability(req.P)
 		case req.Sharded != nil:
-			if err := shardedErr[req.Sharded]; err != nil {
-				out[i].Err = err
-				return
-			}
 			out[i].Probability, out[i].Err = req.Sharded.Probability(req.P)
 		default:
 			out[i].Err = fmt.Errorf("core: request %d has a nil plan", i)

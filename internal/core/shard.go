@@ -31,13 +31,9 @@ import (
 // so it is compiled once at Prepare time and evaluations run it as pure
 // float arithmetic.
 //
-// Probability, ProbabilityBatch, Result and Freeze mirror *Plan: every
-// shard's row program is compiled by Prepare, an unfrozen ShardedPlan
-// evaluates its shards serially, and after Freeze any number of goroutines
-// may evaluate concurrently, each call fanning its shards over a worker
-// pool.
-//
-//pdblint:frozen
+// Probability, ProbabilityBatch and Result mirror *Plan: a sharded plan is
+// immutable once PrepareSharded returns, so any number of goroutines may
+// evaluate it concurrently, each call fanning its shards over a worker pool.
 type ShardedPlan struct {
 	q     rel.CQ
 	combQ Query // join/accept oracle for the cross-shard fold
@@ -51,8 +47,6 @@ type ShardedPlan struct {
 
 	// The precompiled fold over the shards' root distributions.
 	prog foldProgram
-
-	frozen bool
 }
 
 // foldProgram is a compiled cross-shard combine: keys[s] lays out shard s's
@@ -319,42 +313,15 @@ func (sp *ShardedPlan) ShardOfEvent(e logic.Event) (int, bool) {
 	return k, ok
 }
 
-// Freeze seals every shard for concurrent use (see (*Plan).Freeze). After
-// Freeze, Probability / ProbabilityBatch / Result are safe for any number of
-// concurrent callers and fan the per-shard evaluations over a worker pool.
-func (sp *ShardedPlan) Freeze() error {
-	if sp.frozen {
-		return nil
-	}
-	for i, pl := range sp.shards {
-		if err := pl.Freeze(); err != nil {
-			return fmt.Errorf("core: shard %d: %w", i, err)
-		}
-	}
-	sp.frozen = true
-	return nil
-}
-
-// Frozen reports whether the sharded plan has been sealed for concurrent
-// use.
-func (sp *ShardedPlan) Frozen() bool { return sp.frozen }
-
 // evalShards computes every shard's root probability vector under p,
-// fanning the shards over a worker pool when the plan is frozen.
+// fanning the shards over a worker pool.
 func (sp *ShardedPlan) evalShards(p logic.Prob) ([][]float64, error) {
 	vecs := make([][]float64, len(sp.shards))
 	errs := make([]error, len(sp.shards))
-	eval := func(i int) {
+	runPool(len(sp.shards), 0, func(i int) {
 		vecs[i] = make([]float64, len(sp.prog.keys[i]))
 		errs[i] = sp.shards[i].rootVec(p, sp.prog.keys[i], vecs[i])
-	}
-	if sp.frozen && len(sp.shards) > 1 {
-		runPool(len(sp.shards), 0, eval)
-	} else {
-		for i := range sp.shards {
-			eval(i)
-		}
-	}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d: %w", i, err)
@@ -365,10 +332,7 @@ func (sp *ShardedPlan) evalShards(p logic.Prob) ([][]float64, error) {
 
 // Probability evaluates every shard under p and combines the per-shard root
 // distributions into the exact query probability, matching what the
-// monolithic Prepare path returns. Safe for concurrent calls once the plan
-// is frozen (see Freeze).
-//
-//pdblint:frozenentry
+// monolithic Prepare path returns. Safe for concurrent calls.
 func (sp *ShardedPlan) Probability(p logic.Prob) (float64, error) {
 	res, err := sp.Result(p)
 	if err != nil {
@@ -379,9 +343,7 @@ func (sp *ShardedPlan) Probability(p logic.Prob) (float64, error) {
 
 // Result evaluates the sharded plan under p. Width is the largest shard
 // width, NiceNodes the total across shards; sharded plans do not emit
-// lineage. Safe for concurrent calls once the plan is frozen (see Freeze).
-//
-//pdblint:frozenentry
+// lineage. Safe for concurrent calls.
 func (sp *ShardedPlan) Result(p logic.Prob) (*Result, error) {
 	vecs, err := sp.evalShards(p)
 	if err != nil {
@@ -404,10 +366,7 @@ func (sp *ShardedPlan) Result(p logic.Prob) (*Result, error) {
 // maps: every shard runs its row program once over B lanes, and the fold
 // carries one weight lane per assignment. Lane failures are independent, as
 // in (*Plan).ProbabilityBatch: bad lanes come back NaN under a LaneErrors
-// while healthy lanes keep their values. Safe for concurrent calls once the
-// plan is frozen.
-//
-//pdblint:frozenentry
+// while healthy lanes keep their values. Safe for concurrent calls.
 func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 	B := len(ps)
 	if B == 0 {
@@ -419,12 +378,12 @@ func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 	}
 
 	vecs := make([][]float64, len(sp.shards))
-	eval := func(i int) {
+	runPool(len(sp.shards), 0, func(i int) {
 		pl := sp.shards[i]
 		st := pl.getState()
 		pe := pl.fillLaneWeights(st, clean)
 		vec := make([]float64, len(sp.prog.keys[i])*B)
-		prog := pl.program()
+		prog := pl.prog
 		root := pl.runBatchProg(st, prog, pe, B)
 		for j, set := range sp.prog.keys[i] {
 			if r, ok := prog.rootRow[set]; ok {
@@ -434,14 +393,7 @@ func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 		st.arena.Put(root)
 		pl.putState(st)
 		vecs[i] = vec
-	}
-	if sp.frozen && len(sp.shards) > 1 {
-		runPool(len(sp.shards), 0, eval)
-	} else {
-		for i := range sp.shards {
-			eval(i)
-		}
-	}
+	})
 
 	cur := make([]float64, B)
 	for l := range cur {
@@ -479,7 +431,7 @@ func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 // structure and rerun as pure float arithmetic on every call, so a commit
 // that dirtied one shard pays only a few multiplies per shard to refresh
 // the combined answer; the combiner recompiles itself automatically when a
-// shard's plan structure changes (StageAttach bumps the generation).
+// shard view's structure changes (StageAttach bumps its generation).
 //
 // Every view must be a Materialized of a shard plan compiled for the same
 // conjunctive query; q supplies the (instance-independent) join of root
@@ -514,7 +466,7 @@ func (sc *ShardCombiner) compile() {
 	var buf []string
 	for i, m := range sc.ms {
 		sc.gens[i] = m.structGen
-		layout := m.layouts[m.pl.root]
+		layout := m.layouts[m.st.root]
 		keys := make([]int32, 0, len(layout))
 		rowOf := make(map[int32]int32, len(layout))
 		for j, k := range layout {
@@ -525,7 +477,7 @@ func (sc *ShardCombiner) compile() {
 		sets := make([][]string, len(keys))
 		ext := make([]int32, len(keys))
 		for j, set := range keys {
-			buf = m.pl.setStrings(set, buf)
+			buf = m.au.setStrings(set, buf)
 			sets[j] = append([]string(nil), buf...)
 			ext[j] = rowOf[set]
 		}
@@ -553,7 +505,7 @@ func (sc *ShardCombiner) Probability() (float64, error) {
 			continue // unchanged since the last fold
 		}
 		sc.seen[i] = m.commitGen
-		rootVals := m.vals[m.pl.root]
+		rootVals := m.vals[m.st.root]
 		vec := sc.vecs[i]
 		for j, r := range sc.extract[i] {
 			vec[j] = rootVals[r]

@@ -143,7 +143,7 @@ func TestShardedRouting(t *testing.T) {
 	}
 }
 
-// TestShardedFrozenConcurrent hammers a frozen sharded plan from many
+// TestShardedFrozenConcurrent hammers a sharded plan from many
 // goroutines with mixed Probability and ProbabilityBatch calls; run with
 // -race in CI.
 func TestShardedFrozenConcurrent(t *testing.T) {
@@ -155,12 +155,6 @@ func TestShardedFrozenConcurrent(t *testing.T) {
 	want, err := sp.Probability(p)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := sp.Freeze(); err != nil {
-		t.Fatal(err)
-	}
-	if !sp.Frozen() {
-		t.Fatal("plan not frozen")
 	}
 	ps := []logic.Prob{p, p}
 	var wg sync.WaitGroup
@@ -255,7 +249,7 @@ func TestShardedEmptyInstance(t *testing.T) {
 // zero-weight tombstones): the sharded fold must land on the exact
 // query-on-empty-instance probability the monolithic Prepare computes — 1
 // for a trivially-true query, 0 for a CQ with atoms — through Probability,
-// Result, the batch path and a frozen plan alike, with matching metadata.
+// Result, Probability and the batch path alike, with matching metadata.
 func TestShardedDegenerateMatchesMonolithic(t *testing.T) {
 	trivial := rel.NewCQ() // zero atoms: holds on every world
 	type tc struct {
@@ -318,12 +312,9 @@ func TestShardedDegenerateMatchesMonolithic(t *testing.T) {
 					t.Fatalf("%s: batch lane %d = %v, want %v", ctx, l, o, want.Probability)
 				}
 			}
-			if err := sp.Freeze(); err != nil {
-				t.Fatalf("%s: freeze: %v", ctx, err)
-			}
 			pr, err := sp.Probability(p)
 			if err != nil || math.Abs(pr-want.Probability) > 1e-12 {
-				t.Fatalf("%s: frozen eval %v, %v", ctx, pr, err)
+				t.Fatalf("%s: Probability %v, %v", ctx, pr, err)
 			}
 		}
 	}

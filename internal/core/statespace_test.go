@@ -125,8 +125,8 @@ func programTotals(progs []*nodeProg) (rows, edges int) {
 		if np == nil || np.dead {
 			continue
 		}
-		rows += np.rows
-		edges += len(np.edges) + len(np.e0) + len(np.e1) + len(np.joins)
+		rows += int(np.rows)
+		edges += len(np.edges) + len(np.joins)
 	}
 	return rows, edges
 }

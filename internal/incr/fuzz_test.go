@@ -18,7 +18,7 @@ import (
 // re-Prepare oracle to 1e-12 — including after tombstones, revivals,
 // singleton-shard opens, component merges, fallback re-shards and net-zero
 // churn batches that the delta pass short-circuits. After every commit a
-// random lane batch through View.ProbabilityBatch must also equal the frozen
+// random lane batch through View.ProbabilityBatch must also equal the
 // sharded plan prepared on Store.Snapshot (checkLanes). Three bytes drive
 // one operation: opcode, argument, probability.
 func FuzzIncrementalUpdates(f *testing.F) {
@@ -192,7 +192,7 @@ func FuzzIncrementalUpdates(f *testing.F) {
 }
 
 // checkLanes is the differential oracle of the live lane pass: a random
-// batch of override lanes through v.ProbabilityBatch must equal the frozen
+// batch of override lanes through v.ProbabilityBatch must equal the
 // sharded plan prepared on a snapshot of the store, lane by lane to 1e-12,
 // at the same commit sequence. The batch mixes healthy lanes (random
 // overrides, overrides to 0 and 1, lanes overriding nothing or restating a
@@ -207,9 +207,6 @@ func checkLanes(t *testing.T, s *Store, v *View, r *rand.Rand, ctx string) {
 	}
 	sp, base, err := core.PrepareShardedTID(tid, v.Query(), core.Options{})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Freeze(); err != nil {
 		t.Fatal(err)
 	}
 	var deleted []int
@@ -258,7 +255,7 @@ func checkLanes(t *testing.T, s *Store, v *View, r *rand.Rand, ctx string) {
 	}
 	want, err := sp.ProbabilityBatch(ps)
 	if err != nil {
-		t.Fatalf("%s: frozen reference: %v", ctx, err)
+		t.Fatalf("%s: sharded reference: %v", ctx, err)
 	}
 	got, gotSeq, err := v.ProbabilityBatch(lanes)
 	if gotSeq != seq {
@@ -281,7 +278,7 @@ func checkLanes(t *testing.T, s *Store, v *View, r *rand.Rand, ctx string) {
 			t.Fatalf("%s lane %d (%v) failed: %v", ctx, l, lanes[l], le[l])
 		}
 		if math.Abs(got[l]-want[j]) > 1e-12 {
-			t.Fatalf("%s lane %d (%v): live %v, frozen snapshot %v", ctx, l, lanes[l], got[l], want[j])
+			t.Fatalf("%s lane %d (%v): live %v, snapshot plan %v", ctx, l, lanes[l], got[l], want[j])
 		}
 		j++
 	}

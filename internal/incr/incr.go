@@ -1,13 +1,16 @@
 // Package incr maintains live materialized views over prepared query plans:
 // the incremental-maintenance layer of the serving stack.
 //
-// The frozen-plan path of internal/core answers repeated probability requests
-// fast, but treats the database as a snapshot — any change to a probability
-// or to the fact set throws the plan away and pays a full Prepare plus a full
-// dynamic-programming pass. Following the shape of dynamic query evaluation
-// (answering queries under updates by maintaining evaluation state), a Store
-// keeps the per-node DP tables of each registered view materialized
-// (core.Materialized) and maintains them under updates.
+// A core.Plan answers repeated probability requests fast, but it is
+// immutable and describes a snapshot — answering after a change to the fact
+// set from a plan alone means a full Prepare plus a full dynamic-programming
+// pass. Following the shape of dynamic query evaluation (answering queries
+// under updates by maintaining evaluation state), a Store keeps the per-node
+// DP tables of each registered view materialized (core.Materialized) and
+// maintains them under updates. A view owns what it changes: an in-place
+// insert splices the view's private copy of its shard plan's structure,
+// never the plan. Every shard plan carries exactly one view and every write
+// happens under the store lock, which is all core asks of concurrent views.
 //
 // The store is sharded by connected component: facts whose constants never
 // co-occur live in independent probability spaces, so each component gets
@@ -242,9 +245,8 @@ type View struct {
 }
 
 type viewShard struct {
-	plan *core.Plan
-	mat  *core.Materialized
-	// evIdx[ci] is the plan's index of the event of shard fact ci: the
+	mat *core.Materialized
+	// evIdx[ci] is the view's index of the event of shard fact ci: the
 	// slice lookup that routes a lane override by store fact id.
 	evIdx []int32
 }
@@ -463,7 +465,7 @@ func (v *View) build() error {
 		if err != nil {
 			return fmt.Errorf("incr: materialize %s shard %d: %w", v.q, k, err)
 		}
-		v.shards[k] = viewShard{plan: pl, mat: mat}
+		v.shards[k] = viewShard{mat: mat}
 	}
 	for id, k := range v.store.shardOf {
 		if k >= 0 {
@@ -474,12 +476,12 @@ func (v *View) build() error {
 	return v.recombine()
 }
 
-// setEvent records the plan's event index of shard fact ci.
+// setEvent records the view's event index of shard fact ci.
 func (vs *viewShard) setEvent(ci int, e logic.Event) {
 	for len(vs.evIdx) <= ci {
 		vs.evIdx = append(vs.evIdx, -1)
 	}
-	vs.evIdx[ci] = int32(vs.plan.EventIndex(e))
+	vs.evIdx[ci] = int32(vs.mat.EventIndex(e))
 }
 
 // mats lists the view's per-shard materialized tables, in shard order.
@@ -608,7 +610,7 @@ func (v *View) Shape() treedec.Stats {
 	defer v.store.mu.RUnlock()
 	agg := treedec.Stats{Width: -1}
 	for _, vs := range v.shards {
-		sh := vs.plan.Shape()
+		sh := vs.mat.Shape()
 		agg.Nodes += sh.Nodes
 		if sh.Width > agg.Width {
 			agg.Width = sh.Width
@@ -638,7 +640,7 @@ func (v *View) Query() rel.CQ { return v.q }
 // commit on. Maintenance cost is proportional to the registered views, so
 // long-lived servers evicting cold queries should unregister them. A view
 // that is not (or no longer) registered is a no-op. The view's last
-// Probability stays readable but is frozen at its final commit.
+// Probability stays readable but keeps its final commit's value.
 func (s *Store) UnregisterView(v *View) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1168,7 +1170,7 @@ func (s *Store) openShard(id int, f rel.Fact) {
 			s.needRebuild = true
 			return
 		}
-		vs := viewShard{plan: pl, mat: mat}
+		vs := viewShard{mat: mat}
 		vs.setEvent(ci, s.eventOf(id))
 		v.shards = append(v.shards, vs)
 		v.comb = nil // shard set changed; recombine compiles the new fold post-commit
@@ -1180,10 +1182,10 @@ func (s *Store) openShard(id int, f rel.Fact) {
 }
 
 // attachToShard absorbs fact id into shard k in place when every view's
-// shard plan can cover it, and schedules the fallback rebuild otherwise.
+// shard can cover it, and schedules the fallback rebuild otherwise.
 func (s *Store) attachToShard(k, id int, f rel.Fact, p float64) {
 	for _, v := range s.views {
-		if !v.shards[k].plan.CanAttach(f) {
+		if !v.shards[k].mat.CanAttach(f) {
 			s.needRebuild = true
 			return
 		}

@@ -779,7 +779,7 @@ func TestSnapshotDetached(t *testing.T) {
 		}
 	}
 	seqBefore := s.Seq()
-	// A frozen plan over the snapshot answers like the live view did at
+	// A plan over the snapshot answers like the live view did at
 	// snapshot time, regardless of later commits.
 	pl, p, err := core.PrepareShardedTID(tid, views[0].Query(), core.Options{})
 	if err != nil {

@@ -2,8 +2,8 @@ package lint
 
 // Shared syntax/type helpers: resolving call targets, indexing a package's
 // function declarations, and rendering lock expressions — used by the
-// lockcallback and frozenmutation analyzers, both of which reason over the
-// package's static call graph.
+// lockcallback analyzer, which reasons over the package's static call graph,
+// and by the others that resolve callees.
 
 import (
 	"go/ast"

@@ -4,8 +4,7 @@
 // never run under the incr.Store lock (the PR 4 deadlock class), obs metric
 // labels stay fixed enums (the PR 8 cardinality rule), hot-path kernels stay
 // allocation- and fmt-free with their bounds-check-elimination hints intact,
-// frozen plans stay write-free so lock-free serving is sound, and internal
-// packages log through slog instead of fmt/log prints.
+// and internal packages log through slog instead of fmt/log prints.
 //
 // The Analyzer/Pass API deliberately mirrors golang.org/x/tools/go/analysis
 // so each checker reads like a standard vet analyzer and porting onto the
@@ -26,12 +25,6 @@
 //	    body; `boundshint` additionally requires a `_ = s[n]` bounds-check
 //	    hint statement; `-maprange` permits map iteration (for maps that
 //	    are the input by design, such as per-lane probability maps).
-//	//pdblint:frozen          on a type: its fields are sealed on the frozen
-//	    evaluation path.
-//	//pdblint:frozenentry     on a method: an entry point of the frozen
-//	    (concurrent, lock-free) evaluation path.
-//	//pdblint:mutates [why]   on a function: may write frozen-type fields
-//	    (guarded cache fill, pool/arena management).
 //	//pdblint:labelenum       on a package-level var: a fixed enum of metric
 //	    label values; ranging over it yields legal label strings.
 //	//pdblint:allow <analyzer> [why]   suppress that analyzer's diagnostics

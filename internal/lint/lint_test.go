@@ -29,10 +29,6 @@ func TestHotPath(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.HotPath, "hotpath")
 }
 
-func TestFrozenMutation(t *testing.T) {
-	linttest.Run(t, "testdata/src", lint.FrozenMutation, "frozenmutation")
-}
-
 func TestSlogOnly(t *testing.T) {
 	linttest.Run(t, "testdata/src", lint.SlogOnly, "slogonly")
 }
@@ -55,7 +51,6 @@ func TestSuiteScoping(t *testing.T) {
 		{"slogonly", "repro/internal/wal", true},
 		{"slogonly", "repro/cmd/pdbd", false},
 		{"hotpath", "repro/internal/core/kernel", true},
-		{"frozenmutation", "repro/internal/core", true},
 		{"obslabels", "repro/internal/server", true},
 	}
 	for _, c := range cases {

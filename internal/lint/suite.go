@@ -27,9 +27,8 @@ func Suite() []Scoped {
 		{LockCallback, func(p string) bool {
 			return strings.HasPrefix(p, "repro/internal/incr") || strings.HasPrefix(p, "repro/internal/server")
 		}},
-		{ObsLabels, all},      // self-limits to obs.Registry call sites
-		{HotPath, all},        // directive-gated
-		{FrozenMutation, all}, // directive-gated
+		{ObsLabels, all}, // self-limits to obs.Registry call sites
+		{HotPath, all},   // directive-gated
 		{SlogOnly, func(p string) bool { return strings.Contains(p, "internal/") }},
 	}
 }

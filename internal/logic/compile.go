@@ -14,7 +14,7 @@ import "fmt"
 //
 // A CompiledFormula is immutable after CompileMask and safe for concurrent
 // use: Eval keeps its evaluation stack in a local buffer, so the compiled
-// annotation evaluators of a frozen core.Plan can be shared by parallel
+// annotation evaluators of a core.Plan can be shared by parallel
 // evaluations.
 type CompiledFormula struct {
 	ops      []compiledOp
@@ -47,9 +47,32 @@ func CompileMask(f Formula, varBit map[Event]int) *CompiledFormula {
 	})
 }
 
+// varCompiled holds the compiled form of a single variable at every bit
+// position, shared by every caller: a TID fact's annotation is one variable,
+// so compiling it allocates nothing.
+var varCompiled = func() (out [64]*CompiledFormula) {
+	for bit := range out {
+		out[bit] = &CompiledFormula{ops: []compiledOp{{kind: opVar, arg: int32(bit)}}, maxDepth: 1}
+	}
+	return out
+}()
+
+// CompileVar returns the compiled form of a single variable carried by the
+// given bit (0..63): a shared, immutable formula. It panics when the bit is
+// out of range.
+func CompileVar(bit int) *CompiledFormula {
+	if bit < 0 || bit > 63 {
+		panic(fmt.Sprintf("logic: CompileVar bit %d out of range", bit))
+	}
+	return varCompiled[bit]
+}
+
 // CompileMaskFunc is CompileMask with the event→bit mapping given as a
 // function, for callers that can compute a bit without building a map.
 func CompileMaskFunc(f Formula, varBit func(Event) (int, bool)) *CompiledFormula {
+	if v, ok := f.(varFormula); ok {
+		return CompileVar(mustBit(Event(v), varBit))
+	}
 	cf := &CompiledFormula{}
 	cf.compile(f, varBit)
 	// Record the program's maximum stack depth so Eval can pick a local
@@ -79,11 +102,7 @@ func (cf *CompiledFormula) compile(f Formula, varBit func(Event) (int, bool)) {
 			cf.ops = append(cf.ops, compiledOp{kind: opConstFalse})
 		}
 	case varFormula:
-		bit, ok := varBit(Event(g))
-		if !ok || bit < 0 || bit > 63 {
-			panic(fmt.Sprintf("logic: CompileMask has no bit for event %q", Event(g)))
-		}
-		cf.ops = append(cf.ops, compiledOp{kind: opVar, arg: int32(bit)})
+		cf.ops = append(cf.ops, compiledOp{kind: opVar, arg: int32(mustBit(Event(g), varBit))})
 	case notFormula:
 		cf.compile(g.f, varBit)
 		cf.ops = append(cf.ops, compiledOp{kind: opNot})
@@ -100,6 +119,16 @@ func (cf *CompiledFormula) compile(f Formula, varBit func(Event) (int, bool)) {
 	default:
 		panic("logic: CompileMask on unknown formula type")
 	}
+}
+
+// mustBit returns the bit varBit assigns to e, panicking when there is none
+// in 0..63.
+func mustBit(e Event, varBit func(Event) (int, bool)) int {
+	bit, ok := varBit(e)
+	if !ok || bit < 0 || bit > 63 {
+		panic(fmt.Sprintf("logic: CompileMask has no bit for event %q", e))
+	}
+	return bit
 }
 
 // evalStackBuf is the stack-allocated evaluation buffer of Eval; annotation

@@ -52,3 +52,38 @@ func TestCompileMaskPanicsOnMissingVar(t *testing.T) {
 	}()
 	CompileMask(Var("zzz"), map[Event]int{})
 }
+
+// TestCompileVarShared: a single-variable annotation compiles to the shared
+// formula of its bit without allocating, through CompileMaskFunc and
+// CompileMask alike, and evaluates exactly as the general compiler's program
+// for that variable does, at every bit position.
+func TestCompileVarShared(t *testing.T) {
+	f := Var("e")
+	for bit := 0; bit < 64; bit++ {
+		varBit := func(Event) (int, bool) { return bit, true }
+		var cf *CompiledFormula
+		if allocs := testing.AllocsPerRun(10, func() { cf = CompileMaskFunc(f, varBit) }); allocs != 0 {
+			t.Fatalf("bit %d: compiling a variable allocates %v times", bit, allocs)
+		}
+		if cf != CompileVar(bit) || CompileMask(f, map[Event]int{"e": bit}) != cf {
+			t.Fatalf("bit %d: a variable did not compile to the shared formula", bit)
+		}
+		general := &CompiledFormula{maxDepth: 1}
+		general.compile(f, varBit)
+		for _, mask := range []uint64{0, 1 << uint(bit), ^uint64(0), ^uint64(0) &^ (1 << uint(bit)), 0x5555555555555555, 0xAAAAAAAAAAAAAAAA} {
+			if got, want := cf.Eval(mask), general.Eval(mask); got != want {
+				t.Fatalf("bit %d mask %#x: shared %v, general %v", bit, mask, got, want)
+			}
+		}
+	}
+	for _, bit := range []int{-1, 64} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("CompileVar(%d) did not panic", bit)
+				}
+			}()
+			CompileVar(bit)
+		}()
+	}
+}

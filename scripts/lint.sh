@@ -5,9 +5,10 @@
 # pdblint (cmd/pdblint, analyzers in internal/lint) machine-enforces the
 # engine's contracts: no callbacks or blocking channel ops under the store
 # lock (lockcallback), fixed-enum metric labels (obslabels), fmt-free
-# allocation-lean hot paths with their bounds hints intact (hotpath), no
-# writes to frozen plans outside marked paths (frozenmutation), and
-# slog-only logging in internal packages (slogonly).
+# allocation-lean hot paths with their bounds hints intact (hotpath), and
+# slog-only logging in internal packages (slogonly). Plans need no analyzer:
+# they have no mutating methods, and a -race test evaluates one while a view
+# of it attaches facts.
 #
 # The vettool route runs the suite over every package *including test
 # files*, with the go command doing package loading and caching.
