@@ -7,6 +7,8 @@
 //
 //	benchtab          # run all experiments
 //	benchtab E1 E4    # run selected experiments
+//	benchtab -compare [-allocs-gate PCT] OLD.json NEW.json
+//	                  # compare two scripts/bench.sh baselines (compare.go)
 package main
 
 import (
@@ -39,6 +41,9 @@ import (
 )
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "-compare" {
+		os.Exit(compareMain(os.Args[2:], os.Stdout))
+	}
 	selected := map[string]bool{}
 	for _, a := range os.Args[1:] {
 		selected[a] = true

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/rel"
 )
@@ -20,30 +18,27 @@ import (
 // space of Theorem 1: its size depends only on the query and the bag size,
 // never on the instance, so one compiled query serves any instance and the
 // evaluation is linear in the data.
+//
+// A state key is binary and read in place: one code byte per query variable
+// (cqUnassigned, cqForgotten, or cqColour0 plus the colour), then the
+// witness mask as four little-endian bytes. Every key of a query has that
+// one length, except the absorbing state cqDone. The encoding is canonical,
+// so keys compare across CQQuery instances of the same query (the sharded
+// fold joins root states minted by different instances).
 type CQQuery struct {
 	Q      rel.CQ
 	vars   []string
 	varIdx map[string]int
 	atoms  []rel.Atom
+	// varAtoms[v] is the mask of the atoms mentioning variable v: Forget
+	// kills a run that forgets v while one of them is unwitnessed.
+	varAtoms []uint32
 	// sigs[id] lists the atoms a fact of signature id can witness, and
 	// sigIDs interns signatures by their byte image (see FactSignature).
 	sigs   [][]factAtomMatch
 	sigIDs map[string]int
 	sigKey []byte // FactSignature's key scratch
 	colBuf []int  // FactSignature's per-atom variable colours
-	// decoded caches key -> state: the engine revisits the same few states
-	// at every node, and parsing dominated profiles without it.
-	decoded map[string]cqState
-	// joined caches Join results by the concatenated pair key, for the
-	// same reason.
-	joined map[string]joinResult
-	// pruneBuf is PruneSet's reusable decoded-state scratch.
-	pruneBuf []cqState
-}
-
-type joinResult struct {
-	merged string
-	ok     bool
 }
 
 type factAtomMatch struct {
@@ -53,14 +48,21 @@ type factAtomMatch struct {
 	varColour []int
 }
 
+// Variable codes of a state key.
 const (
-	cqUnassigned = -1
-	cqForgotten  = -2
+	cqUnassigned byte = 0
+	cqForgotten  byte = 1
+	cqColour0    byte = 2 // colour c is stored as cqColour0 + c
 )
+
+// maxCQColours is the number of colours a variable code can name. Prepare
+// rejects a decomposition whose colouring needs more (ErrTooManyColours)
+// before any state is built, so a colour is never truncated.
+const maxCQColours = 256 - int(cqColour0)
 
 // cqDone is the absorbing accepting state: once every atom is witnessed,
 // the run's assignments no longer matter. Collapsing to it keeps the
-// determinized state sets small.
+// determinized state sets small. No other key is one byte long.
 const cqDone = "D"
 
 // maxCQAtoms bounds the atoms of a compiled CQ: a state's witness mask is
@@ -79,15 +81,18 @@ func NewCQQuery(q rel.CQ) (*CQQuery, error) {
 	if len(q.Atoms) > maxCQAtoms {
 		return nil, fmt.Errorf("%w: %d atoms, at most %d", ErrTooManyAtoms, len(q.Atoms), maxCQAtoms)
 	}
-	c := &CQQuery{
-		Q: q, vars: q.Vars(), atoms: q.Atoms,
-		sigIDs:  map[string]int{},
-		decoded: map[string]cqState{},
-		joined:  map[string]joinResult{},
-	}
+	c := &CQQuery{Q: q, vars: q.Vars(), atoms: q.Atoms, sigIDs: map[string]int{}}
 	c.varIdx = make(map[string]int, len(c.vars))
 	for i, v := range c.vars {
 		c.varIdx[v] = i
+	}
+	c.varAtoms = make([]uint32, len(c.vars))
+	for ai, atom := range c.atoms {
+		for _, t := range atom.Terms {
+			if t.IsVar {
+				c.varAtoms[c.varIdx[t.Name]] |= 1 << uint(ai)
+			}
+		}
 	}
 	c.colBuf = make([]int, len(c.vars))
 	return c, nil
@@ -152,61 +157,34 @@ func (c *CQQuery) matchAtom(ai int, f rel.Fact, argColours []int) bool {
 	return true
 }
 
-// cqState is the decoded form of a state key.
-type cqState struct {
-	assign []int // per variable: cqUnassigned, cqForgotten, or a colour
-	mask   uint32
+// colourCode is the variable code of colour col. A colour outside the code
+// range is a broken invariant (Prepare checks the colouring first), so it
+// panics rather than alias another colour.
+func colourCode(col int) byte {
+	if col < 0 || col >= maxCQColours {
+		panic(fmt.Sprintf("core: colour %d outside the CQ state key's range", col))
+	}
+	return cqColour0 + byte(col)
 }
 
-func (c *CQQuery) encode(s cqState) string {
-	var sb strings.Builder
-	sb.Grow(4*len(s.assign) + 8)
-	for i, a := range s.assign {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(a))
+// keyBuf returns a scratch buffer for one state key, on the caller's stack
+// array when it fits.
+func (c *CQQuery) keyBuf(stack []byte) []byte {
+	if n := len(c.vars) + 4; n <= len(stack) {
+		return stack[:n]
 	}
-	sb.WriteByte('#')
-	sb.WriteString(strconv.FormatUint(uint64(s.mask), 16))
-	return sb.String()
+	return make([]byte, len(c.vars)+4)
 }
 
-func (c *CQQuery) decode(key string) cqState {
-	if s, ok := c.decoded[key]; ok {
-		return s
-	}
-	s := c.decodeSlow(key)
-	c.decoded[key] = s
-	return s
+// keyMask reads the witness mask of a key other than cqDone.
+func (c *CQQuery) keyMask(key string) uint32 {
+	n := len(c.vars)
+	return uint32(key[n]) | uint32(key[n+1])<<8 | uint32(key[n+2])<<16 | uint32(key[n+3])<<24
 }
 
-func (c *CQQuery) decodeSlow(key string) cqState {
-	hash := strings.IndexByte(key, '#')
-	mask, err := strconv.ParseUint(key[hash+1:], 16, 32)
-	if err != nil {
-		panic("core: bad cq state key: " + key)
-	}
-	s := cqState{assign: make([]int, len(c.vars)), mask: uint32(mask)}
-	if len(c.vars) > 0 {
-		part := key[:hash]
-		for i := 0; i < len(s.assign); i++ {
-			end := strings.IndexByte(part, ',')
-			tok := part
-			if end >= 0 {
-				tok = part[:end]
-				part = part[end+1:]
-			} else {
-				part = ""
-			}
-			v, err := strconv.Atoi(tok)
-			if err != nil {
-				panic("core: bad cq state key: " + key)
-			}
-			s.assign[i] = v
-		}
-	}
-	return s
+// putMask writes the witness mask into a key buffer.
+func (c *CQQuery) putMask(buf []byte, mask uint32) {
+	binary.LittleEndian.PutUint32(buf[len(c.vars):], mask)
 }
 
 func (c *CQQuery) fullMask() uint32 { return (1 << uint(len(c.atoms))) - 1 }
@@ -214,11 +192,7 @@ func (c *CQQuery) fullMask() uint32 { return (1 << uint(len(c.atoms))) - 1 }
 // Start returns the single initial state: nothing assigned, no atom
 // witnessed.
 func (c *CQQuery) Start() []string {
-	s := cqState{assign: make([]int, len(c.vars))}
-	for i := range s.assign {
-		s.assign[i] = cqUnassigned
-	}
-	return []string{c.encode(s)}
+	return []string{string(make([]byte, len(c.vars)+4))}
 }
 
 // Introduce guesses, for every subset of the currently unassigned
@@ -227,22 +201,25 @@ func (c *CQQuery) Introduce(key string, v int) []string {
 	if key == cqDone {
 		return []string{cqDone}
 	}
-	s := c.decode(key)
-	var free []int
-	for i, a := range s.assign {
-		if a == cqUnassigned {
+	code := colourCode(v)
+	var freeStack [16]int
+	free := freeStack[:0]
+	for i := range c.vars {
+		if key[i] == cqUnassigned {
 			free = append(free, i)
 		}
 	}
+	var stack [64]byte
+	buf := c.keyBuf(stack[:])
 	out := make([]string, 0, 1<<uint(len(free)))
 	for sub := 0; sub < 1<<uint(len(free)); sub++ {
-		ns := cqState{assign: append([]int(nil), s.assign...), mask: s.mask}
+		copy(buf, key)
 		for bit, vi := range free {
 			if sub&(1<<uint(bit)) != 0 {
-				ns.assign[vi] = v
+				buf[vi] = code
 			}
 		}
-		out = append(out, c.encode(ns))
+		out = append(out, string(buf))
 	}
 	return out
 }
@@ -257,38 +234,27 @@ func (c *CQQuery) Forget(key string, v int) []string {
 	if key == cqDone {
 		return []string{cqDone}
 	}
-	s := c.decode(key)
-	var out []int // lazily copied assignment (decode results are cached)
-	for vi, a := range s.assign {
-		if a != v {
+	code := colourCode(v)
+	mask := c.keyMask(key)
+	var stack [64]byte
+	var buf []byte // copied from key at the first forgotten variable
+	for vi := range c.vars {
+		if key[vi] != code {
 			continue
 		}
-		for ai, atom := range c.atoms {
-			if s.mask&(1<<uint(ai)) != 0 {
-				continue
-			}
-			if atomUsesVar(atom, c.vars[vi]) {
-				return nil // dead run
-			}
+		if c.varAtoms[vi]&^mask != 0 {
+			return nil // dead run
 		}
-		if out == nil {
-			out = append([]int(nil), s.assign...)
+		if buf == nil {
+			buf = c.keyBuf(stack[:])
+			copy(buf, key)
 		}
-		out[vi] = cqForgotten
+		buf[vi] = cqForgotten
 	}
-	if out == nil {
+	if buf == nil {
 		return []string{key}
 	}
-	return []string{c.encode(cqState{assign: out, mask: s.mask})}
-}
-
-func atomUsesVar(a rel.Atom, name string) bool {
-	for _, t := range a.Terms {
-		if t.IsVar && t.Name == name {
-			return true
-		}
-	}
-	return false
+	return []string{string(buf)}
 }
 
 // Join merges sibling runs. Two assignments are compatible when they agree
@@ -296,55 +262,32 @@ func atomUsesVar(a rel.Atom, name string) bool {
 // the same element on both sides); "forgotten" clashes with any other
 // commitment because the two elements are necessarily distinct (a forgotten
 // element never reappears in the sibling branch, by the connectivity of
-// occurrences in a tree decomposition).
+// occurrences in a tree decomposition). Most pairs clash, and a clash
+// allocates nothing.
 func (c *CQQuery) Join(ka, kb string) (string, bool) {
-	pair := ka + "\x00" + kb
-	if r, ok := c.joined[pair]; ok {
-		return r.merged, r.ok
-	}
-	merged, ok := c.joinSlow(ka, kb)
-	c.joined[pair] = joinResult{merged, ok}
-	return merged, ok
-}
-
-// JoinDirect is Join without the internal memo. Compiled plans
-// (internal/core Plan) cache join results per interned state pair
-// themselves, so each pair reaches the query at most once and the memo's
-// key concatenation and map insert are pure overhead on that path.
-func (c *CQQuery) JoinDirect(ka, kb string) (string, bool) {
-	return c.joinSlow(ka, kb)
-}
-
-func (c *CQQuery) joinSlow(ka, kb string) (string, bool) {
 	if ka == cqDone || kb == cqDone {
 		return cqDone, true
 	}
-	a, b := c.decode(ka), c.decode(kb)
-	// Most pairs clash; merge into a stack buffer so a clash allocates
-	// nothing (encode copies the merged assignment into the key).
-	var stack [16]int
-	m := cqState{assign: stack[:0], mask: a.mask | b.mask}
-	if len(c.vars) > len(stack) {
-		m.assign = make([]int, len(c.vars))
-	}
-	m.assign = m.assign[:len(c.vars)]
-	for i := range m.assign {
-		x, y := a.assign[i], b.assign[i]
+	var stack [64]byte
+	buf := c.keyBuf(stack[:])
+	for i := range c.vars {
+		x, y := ka[i], kb[i]
 		switch {
 		case x == y:
-			m.assign[i] = x
 			if x == cqForgotten {
 				return "", false // two distinct forgotten elements
 			}
+			buf[i] = x
 		case x == cqUnassigned:
-			m.assign[i] = y
+			buf[i] = y
 		case y == cqUnassigned:
-			m.assign[i] = x
+			buf[i] = x
 		default:
 			return "", false // two distinct commitments
 		}
 	}
-	return c.encode(m), true
+	c.putMask(buf, c.keyMask(ka)|c.keyMask(kb))
+	return string(buf), true
 }
 
 // FactTransitions witnesses, with a fact of signature sig, every atom whose
@@ -359,15 +302,15 @@ func (c *CQQuery) FactTransitions(key string, sig int) []string {
 	if len(matches) == 0 {
 		return nil
 	}
-	s := c.decode(key)
-	newMask := s.mask
+	mask := c.keyMask(key)
+	newMask := mask
 	for _, m := range matches {
 		if newMask&(1<<uint(m.atom)) != 0 {
 			continue
 		}
 		ok := true
 		for vi, col := range m.varColour {
-			if col >= 0 && s.assign[vi] != col {
+			if col >= 0 && key[vi] != colourCode(col) {
 				ok = false
 				break
 			}
@@ -376,69 +319,39 @@ func (c *CQQuery) FactTransitions(key string, sig int) []string {
 			newMask |= 1 << uint(m.atom)
 		}
 	}
-	if newMask == s.mask {
+	if newMask == mask {
 		return nil
 	}
 	if newMask == c.fullMask() {
 		return []string{cqDone}
 	}
-	return []string{c.encode(cqState{assign: s.assign, mask: newMask})}
+	var stack [64]byte
+	buf := c.keyBuf(stack[:])
+	copy(buf, key)
+	c.putMask(buf, newMask)
+	return []string{string(buf)}
 }
 
 // Accept holds when every atom has been witnessed. (A full mask implies
 // every variable was assigned, since each variable occurs in some atom.)
 func (c *CQQuery) Accept(key string) bool {
-	if key == cqDone {
-		return true
-	}
-	return c.decode(key).mask == c.fullMask()
+	return key == cqDone || c.keyMask(key) == c.fullMask()
 }
 
-// PruneSet keeps the determinized state sets small without changing which
-// worlds are accepted:
-//
-//   - if some state has witnessed every atom, the whole set collapses to
-//     the absorbing accepting state;
-//   - among states with identical assignments, only the maximal witness
-//     masks are kept (a subset mask is dominated: any continuation that
-//     accepts from it also accepts from the dominating state, and
-//     domination is preserved by every transition).
-//
-// The pairwise domination check works on decoded states held in a reusable
-// scratch buffer, so a call allocates only the pruned output slice.
-func (c *CQQuery) PruneSet(set []string) []string {
-	full := c.fullMask()
-	states := c.pruneBuf[:0]
-	for _, key := range set {
-		if key == cqDone {
-			return []string{cqDone}
-		}
-		s := c.decode(key)
-		if s.mask == full {
-			return []string{cqDone}
-		}
-		states = append(states, s)
+// PruneKey implements SetPruner. A state's class is its assignment (the
+// variable codes) and its mask the atoms it has witnessed: among states with
+// identical assignments a subset mask is dominated, because any
+// continuation that accepts from it also accepts from the dominating state,
+// and domination is preserved by every transition. A state that has
+// witnessed every atom collapses its whole set to the absorbing accepting
+// state.
+func (c *CQQuery) PruneKey(key string) (class string, mask uint32, collapse string) {
+	if key == cqDone {
+		return "", 0, cqDone
 	}
-	c.pruneBuf = states
-	out := make([]string, 0, len(set))
-	for i, si := range states {
-		dominated := false
-		for j, sj := range states {
-			if i == j || si.mask&sj.mask != si.mask {
-				continue
-			}
-			if si.mask == sj.mask && j > i {
-				continue
-			}
-			if slices.Equal(si.assign, sj.assign) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, set[i])
-		}
+	mask = c.keyMask(key)
+	if mask == c.fullMask() {
+		return "", mask, cqDone
 	}
-	sortStrings(out)
-	return out
+	return key[:len(c.vars)], mask, ""
 }

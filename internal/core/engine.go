@@ -161,6 +161,9 @@ func RunOnWorld(inst *rel.Instance, present []bool, q Query) (bool, error) {
 	g := inst.GaifmanGraph(di)
 	nice := treedec.MakeNice(treedec.Decompose(g, treedec.MinFill))
 	colour := nice.Colour(len(di.Names))
+	if err := checkColours(q, colour); err != nil {
+		return false, err
+	}
 	factsAt, err := homeFacts(inst, di, nice, colour, q)
 	if err != nil {
 		return false, err

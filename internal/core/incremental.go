@@ -56,6 +56,10 @@ type Materialized struct {
 	au *automaton // likewise
 	// owned reports whether st and au are the view's private copies.
 	owned bool
+	// attach is the attach-point index of st.nice, built by the first
+	// findAttach that needs it and dropped by splice, so an insert's
+	// CanAttach pre-flight and StageAttach share one build.
+	attach *treedec.AttachIndex
 
 	pe        []float64   // current per-event weights
 	layouts   [][]rowKey  // persisted per-node row layouts
@@ -195,7 +199,10 @@ func (m *Materialized) findAttach(f rel.Fact) (node int, err error) {
 			scope = append(scope, v)
 		}
 	}
-	t := m.st.nice.AttachPoint(scope)
+	if m.attach == nil {
+		m.attach = m.st.nice.NewAttachIndex()
+	}
+	t := m.attach.Find(scope)
 	if t < 0 {
 		return -1, fmt.Errorf("core: no bag of the decomposition covers the arguments of %s", f)
 	}
@@ -269,6 +276,7 @@ func (m *Materialized) StageAttach(f rel.Fact, e logic.Event, pr float64) error 
 // forget node.
 func (m *Materialized) splice(t int, f rel.Fact, e logic.Event) int {
 	pl, st := m.pl, m.st
+	m.attach = nil // the decomposition is about to change
 	bag := st.nice.Nodes[t].Bag
 	var colourBuf []int
 	sig := factSignature(pl.q, f, pl.di, pl.colour, &colourBuf)

@@ -43,6 +43,9 @@ func MonotoneLineage(inst *rel.Instance, q Query, opts Options) (*circuit.Circui
 	}
 	nice := treedec.MakeNice(d)
 	colour := nice.Colour(len(di.Names))
+	if err := checkColours(q, colour); err != nil {
+		return nil, 0, err
+	}
 	factsAt, err := homeFacts(inst, di, nice, colour, q)
 	if err != nil {
 		return nil, 0, err

@@ -104,36 +104,36 @@ func (st *structure) clone() *structure {
 }
 
 // automaton is the determinized query automaton over a structure: the
-// interned states and sets, and the set-level determinization memos.
+// interned states (with what the set-level rules read of each) and sets, and
+// the set-level determinization memos.
 //
 // The memos are written only by structural passes (Prepare's, and the
 // per-node recompiles of a view that owns its automaton). Keys are integers:
 // the query's string states are touched only on the first encounter of a
-// state or set. Transitions are addressed by colour and fact signature,
-// never by vertex or fact, so the memos depend only on the query and the
-// width: after the first few bags almost every lookup hits. Prepare's pass
-// visits every transition the plan's structure can reach, so a pass over the
-// unchanged structure hits every lookup and never writes.
+// state, and sets are pruned on per-state integers. Transitions are
+// addressed by colour and fact signature, never by vertex or fact, so the
+// memos depend only on the query and the width: after the first few bags
+// almost every lookup hits. Prepare's pass visits every transition the
+// plan's structure can reach, so a pass over the unchanged structure hits
+// every lookup and never writes.
 type automaton struct {
 	startSet int32
 	states   stateInterner
 	sets     setInterner
 	accept   []bool // accept[setID]: does the set contain an accepting state?
 
-	setTrans   map[uint64]int32   // transKey(op, operand, set) -> successor set
-	joinCache  map[uint64]int32   // (left set, right set) -> joined set
-	stepCache  map[uint64][]int32 // transKey(op, operand, state) -> successor states
-	pruneCache map[string]int32   // unpruned set's key image -> pruned set
+	setTrans  map[uint64]int32   // transKey(op, operand, set) -> successor set
+	joinCache map[uint64]int32   // (left set, right set) -> joined set
+	stepCache map[uint64][]int32 // transKey(op, operand, state) -> successor states
 }
 
 func newAutomaton() automaton {
 	return automaton{
-		states:     stateInterner{ids: map[string]int32{}},
-		sets:       setInterner{ids: map[string]int32{}},
-		setTrans:   map[uint64]int32{},
-		joinCache:  map[uint64]int32{},
-		stepCache:  map[uint64][]int32{},
-		pruneCache: map[string]int32{},
+		states:    stateInterner{ids: map[string]int32{}, classes: map[string]int32{}},
+		sets:      setInterner{ids: map[string]int32{}},
+		setTrans:  map[uint64]int32{},
+		joinCache: map[uint64]int32{},
+		stepCache: map[uint64][]int32{},
 	}
 }
 
@@ -142,14 +142,18 @@ func newAutomaton() automaton {
 // stay shared.
 func (au *automaton) clone() *automaton {
 	return &automaton{
-		startSet:   au.startSet,
-		states:     stateInterner{ids: maps.Clone(au.states.ids), strs: slices.Clone(au.states.strs)},
-		sets:       setInterner{ids: maps.Clone(au.sets.ids), members: slices.Clone(au.sets.members)},
-		accept:     slices.Clone(au.accept),
-		setTrans:   maps.Clone(au.setTrans),
-		joinCache:  maps.Clone(au.joinCache),
-		stepCache:  maps.Clone(au.stepCache),
-		pruneCache: maps.Clone(au.pruneCache),
+		startSet: au.startSet,
+		states: stateInterner{
+			ids:     maps.Clone(au.states.ids),
+			strs:    slices.Clone(au.states.strs),
+			info:    slices.Clone(au.states.info),
+			classes: maps.Clone(au.states.classes),
+		},
+		sets:      setInterner{ids: maps.Clone(au.sets.ids), members: slices.Clone(au.sets.members)},
+		accept:    slices.Clone(au.accept),
+		setTrans:  maps.Clone(au.setTrans),
+		joinCache: maps.Clone(au.joinCache),
+		stepCache: maps.Clone(au.stepCache),
 	}
 }
 
@@ -221,19 +225,46 @@ func transKey(op uint8, arg int, x int32) uint64 {
 	return uint64(op)<<62 | uint64(arg)<<32 | uint64(uint32(x))
 }
 
-// stateInterner assigns dense int32 ids to automaton state strings.
+// stateInterner assigns dense int32 ids to automaton state strings and
+// records, per state id, what the set-level rules read: acceptance and the
+// query's SetPruner description, with the class interned to a dense id.
 type stateInterner struct {
-	ids  map[string]int32
-	strs []string
+	ids     map[string]int32
+	strs    []string
+	info    []stateInfo
+	classes map[string]int32
 }
 
-func (si *stateInterner) id(s string) int32 {
+// stateInfo is one interned state's acceptance and pruning description.
+type stateInfo struct {
+	accept   bool
+	class    int32
+	mask     uint32
+	collapse int32 // the state a set holding this one collapses to, or -1
+}
+
+// id interns state s of query q, describing it on first sight.
+func (si *stateInterner) id(q Query, s string) int32 {
 	if id, ok := si.ids[s]; ok {
 		return id
 	}
 	id := int32(len(si.strs))
 	si.strs = append(si.strs, s)
 	si.ids[s] = id
+	si.info = append(si.info, stateInfo{accept: q.Accept(s), collapse: -1})
+	if p, ok := q.(SetPruner); ok {
+		class, mask, collapse := p.PruneKey(s)
+		c, ok := si.classes[class]
+		if !ok {
+			c = int32(len(si.classes))
+			si.classes[class] = c
+		}
+		si.info[id].class, si.info[id].mask = c, mask
+		if collapse != "" {
+			to := si.id(q, collapse) // may intern and append: index afterwards
+			si.info[id].collapse = to
+		}
+	}
 	return id
 }
 
@@ -267,6 +298,9 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 	nice := treedec.MakeNice(d)
 	nDom := j.nDom
 	colour := nice.Colour(nDom)
+	if err := checkColours(q, colour); err != nil {
+		return nil, err
+	}
 
 	// Event valuations are tracked in a 64-bit mask per table row.
 	for _, nd := range nice.Nodes {
@@ -465,8 +499,8 @@ func (pl *Plan) Result(p logic.Prob) (*Result, error) {
 // a Materialized commit that recompiles node programs runs its own.
 //
 // The automaton's set-level memos are consulted first; below a memo miss the
-// pass runs on flat arrays: a mark array indexed by state id and an
-// open-addressing pair table.
+// pass runs on flat arrays: a mark array indexed by state id and a dense
+// state-pair table.
 type detPass struct {
 	q  Query
 	st *structure
@@ -477,8 +511,15 @@ type detPass struct {
 	// private copy. A pass over a borrowed automaton hits every lookup.
 	owned bool
 
-	// pairs memoizes the Join of state pairs for the whole pass.
-	pairs pairMemo
+	// pairs[a*stride+b] memoizes the Join of states a and b for the whole
+	// pass: 0 when not yet joined, 1 when the pair does not merge, m+2 for
+	// merged state m. The state count depends only on the query and the
+	// width (38 states for R·S·T at width 1, about 800 for S·S·S at width
+	// 2), so the table stays a few MB at most; the stride doubles as states
+	// are interned, and a pass that never misses a set join never
+	// allocates it.
+	pairs  []int32
+	stride int
 
 	// mark[s] == gen when state s is already among the successors being
 	// collected (collect), so duplicate successors are dropped before the
@@ -486,9 +527,12 @@ type detPass struct {
 	mark []uint64
 	gen  uint64
 
-	ids    []int32  // successor collection buffer
-	keyBuf []byte   // set key image (sets.ids, pruneCache)
-	strs   []string // state strings of a set being pruned
+	ids    []int32 // successor collection buffer
+	keyBuf []byte  // set key image (sets.ids)
+
+	// pruneSet's scratch: the members' pruning keys and the kept indices.
+	pkeys []pruneKey[int32]
+	kept  []int
 
 	// compileNodeProg's scratch, reused across nodes: the row index of the
 	// node being compiled and its layout under construction, and a join's
@@ -500,63 +544,11 @@ type detPass struct {
 	runNext []int32
 	e0      []rpEdge // a forget-event node's false-bit edges, appended after the true-bit ones
 
-	join   func(a, b string) (string, bool) // the query's Join, unmemoized when it can be
-	pruner bool                             // the query implements SetPruner
-}
-
-// pairMemo is a flat open-addressing hash table from a state pair to the
-// Join of the two states: linear probing over two parallel arrays, one
-// multiply and usually one probe per lookup. The state count depends only
-// on the query and the width, but it is exponential in both, so a
-// state×state matrix could still dwarf the pairs a plan actually meets;
-// this table grows with those pairs.
-type pairMemo struct {
-	keys  []uint64 // pair key + 1; 0 marks an empty slot
-	vals  []int32  // merged state, -1 when the pair does not merge
-	n     int
-	shift uint8 // 64 - log2(len(keys))
-}
-
-// find returns the slot of key: where it is stored, or where it would be
-// inserted.
-func (pm *pairMemo) find(key uint64) (int, bool) {
-	if pm.keys == nil {
-		pm.keys, pm.vals, pm.shift = make([]uint64, 1024), make([]int32, 1024), 64-10
-	}
-	mask := len(pm.keys) - 1
-	for i := int(key * 0x9E3779B97F4A7C15 >> pm.shift); ; i = (i + 1) & mask {
-		switch pm.keys[i] {
-		case key:
-			return i, true
-		case 0:
-			return i, false
-		}
-	}
-}
-
-// insert stores key → v in the empty slot i that find returned, doubling the
-// table once it is half full.
-func (pm *pairMemo) insert(i int, key uint64, v int32) {
-	pm.keys[i], pm.vals[i] = key, v
-	if pm.n++; 2*pm.n <= len(pm.keys) {
-		return
-	}
-	keys, vals := pm.keys, pm.vals
-	pm.keys, pm.vals = make([]uint64, 2*len(keys)), make([]int32, 2*len(keys))
-	pm.shift--
-	for j, k := range keys {
-		if k != 0 {
-			s, _ := pm.find(k)
-			pm.keys[s], pm.vals[s] = k, vals[j]
-		}
-	}
+	pruner bool // the query implements SetPruner
 }
 
 func newDetPass(q Query, st *structure, au *automaton, owned bool) *detPass {
-	dp := &detPass{q: q, st: st, au: au, owned: owned, join: q.Join}
-	if dj, ok := q.(directJoiner); ok {
-		dp.join = dj.JoinDirect
-	}
+	dp := &detPass{q: q, st: st, au: au, owned: owned}
 	_, dp.pruner = q.(SetPruner)
 	return dp
 }
@@ -579,13 +571,13 @@ func (dp *detPass) collect(s int32) {
 }
 
 // internStrings interns a deduplicated state-string set (as produced by
-// detStep or a SetPruner) and returns its set id. Sets are canonicalized by
-// sorting their interned state ids, so any permutation of the same strings
-// interns to the same id.
+// detStep) and returns its set id. Sets are canonicalized by sorting their
+// interned state ids, so any permutation of the same strings interns to the
+// same id.
 func (dp *detPass) internStrings(states []string) int32 {
 	ids := dp.ids[:0]
 	for _, s := range states {
-		ids = append(ids, dp.au.states.id(s))
+		ids = append(ids, dp.au.states.id(dp.q, s))
 	}
 	dp.ids = ids
 	sortInt32(ids)
@@ -593,7 +585,7 @@ func (dp *detPass) internStrings(states []string) int32 {
 }
 
 // setKey writes the little-endian byte image of a sorted state-id set into
-// the pass's key buffer: the key of sets.ids and pruneCache.
+// the pass's key buffer: the key of sets.ids.
 func (dp *detPass) setKey(ids []int32) []byte {
 	buf := dp.keyBuf[:0]
 	for _, id := range ids {
@@ -615,7 +607,7 @@ func (dp *detPass) internIDs(ids []int32) int32 {
 	au.sets.ids[string(key)] = id
 	acc := false
 	for _, sid := range ids {
-		if dp.q.Accept(au.states.strs[sid]) {
+		if au.states.info[sid].accept {
 			acc = true
 			break
 		}
@@ -634,31 +626,40 @@ func (au *automaton) setStrings(set int32, buf []string) []string {
 	return out
 }
 
+// pruneSet applies the query's SetPruner rule to a sorted state-id list in
+// place, reading each state's description as recorded when it was interned:
+// a member with a collapse state turns the list into that one state, and
+// otherwise keepUndominated drops the dominated members. The result stays
+// sorted.
+func (dp *detPass) pruneSet(ids []int32) []int32 {
+	info := dp.au.states.info
+	keys := dp.pkeys[:0]
+	for _, s := range ids {
+		in := info[s]
+		if in.collapse >= 0 {
+			ids[0] = in.collapse
+			return ids[:1]
+		}
+		keys = append(keys, pruneKey[int32]{in.class, in.mask})
+	}
+	dp.pkeys = keys
+	dp.kept = keepUndominated(keys, dp.kept[:0])
+	for i, k := range dp.kept {
+		ids[i] = ids[k]
+	}
+	return ids[:len(dp.kept)]
+}
+
 // internCollected interns the collected successor list as a set: the
-// survivors of the mark dedup are sorted into canonical order, pruned by the
-// query's SetPruner (if any), and interned. Unpruned sets are never interned:
-// the prune memo is keyed by their byte image, and each distinct one is
-// pruned at most once.
+// survivors of the mark dedup are sorted into canonical order, pruned, and
+// interned. Unpruned sets are never interned.
 func (dp *detPass) internCollected() int32 {
 	ids := dp.ids
 	sortInt32(ids)
-	if !dp.pruner {
-		return dp.internIDs(ids)
+	if dp.pruner {
+		ids = dp.pruneSet(ids)
 	}
-	au := dp.au
-	key := dp.setKey(ids)
-	if r, ok := au.pruneCache[string(key)]; ok {
-		return r
-	}
-	dp.miss()
-	rawKey := string(key)
-	dp.strs = dp.strs[:0]
-	for _, id := range ids {
-		dp.strs = append(dp.strs, au.states.strs[id])
-	}
-	r := dp.internStrings(prune(dp.q, dp.strs))
-	au.pruneCache[rawKey] = r
-	return r
+	return dp.internIDs(ids)
 }
 
 // stepStates returns the successor state ids of a single state under the
@@ -683,7 +684,7 @@ func (dp *detPass) stepStates(op uint8, arg int, state int32) []int32 {
 	}
 	succs := make([]int32, 0, len(out))
 	for _, s := range out {
-		succs = append(succs, au.states.id(s))
+		succs = append(succs, au.states.id(dp.q, s))
 	}
 	au.stepCache[k] = succs
 	return succs
@@ -710,11 +711,19 @@ func (dp *detPass) stepSet(op uint8, arg int, set int32) int32 {
 	return r
 }
 
-// directJoiner is an optional Query extension: a Join entry point without
-// internal memoization, for engines (like Plan) that already memoize join
-// results per state pair and would only churn the query's own memo.
-type directJoiner interface {
-	JoinDirect(a, b string) (merged string, ok bool)
+// growPairs widens the pair table to hold every interned state, doubling
+// the stride and keeping the pairs already joined.
+func (dp *detPass) growPairs() {
+	n := len(dp.au.states.strs)
+	stride := max(dp.stride, 64)
+	for stride < n {
+		stride *= 2
+	}
+	pairs := make([]int32, stride*stride)
+	for a := 0; a < dp.stride; a++ {
+		copy(pairs[a*stride:], dp.pairs[a*dp.stride:(a+1)*dp.stride])
+	}
+	dp.pairs, dp.stride = pairs, stride
 }
 
 // joinSets merges two interned sets across a join node: every pair of
@@ -728,21 +737,23 @@ func (dp *detPass) joinSets(a, b int32) int32 {
 		return r
 	}
 	dp.miss()
+	if len(au.states.strs) > dp.stride {
+		dp.growPairs()
+	}
 	dp.begin()
 	for _, ia := range au.sets.members[a] {
+		row := dp.pairs[int(ia)*dp.stride:]
 		for _, ib := range au.sets.members[b] {
-			pk := uint64(uint32(ia))<<32 | uint64(uint32(ib)) + 1
-			i, ok := dp.pairs.find(pk)
-			m := dp.pairs.vals[i]
-			if !ok {
-				m = -1
-				if merged, okJoin := dp.join(au.states.strs[ia], au.states.strs[ib]); okJoin {
-					m = au.states.id(merged)
+			m := row[ib]
+			if m == 0 {
+				m = 1
+				if merged, ok := dp.q.Join(au.states.strs[ia], au.states.strs[ib]); ok {
+					m = au.states.id(dp.q, merged) + 2
 				}
-				dp.pairs.insert(i, pk, m)
+				row[ib] = m
 			}
-			if m >= 0 {
-				dp.collect(m)
+			if m > 1 {
+				dp.collect(m - 2)
 			}
 		}
 	}

@@ -25,6 +25,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"sort"
 
 	"repro/internal/rel"
@@ -34,7 +36,10 @@ func sortStrings(ss []string) { sort.Strings(ss) }
 
 // Query is a nondeterministic bag automaton: the compiled form of a Boolean
 // query, run bottom-up over a nice tree decomposition of the instance's
-// Gaifman graph. States are opaque strings managed by the implementation.
+// Gaifman graph. States are opaque strings managed by the implementation;
+// the engine interns each distinct state once and works on integer ids, so
+// a state should be a compact canonical key (CQQuery's are binary, one byte
+// per variable plus the witness mask).
 //
 // The automaton never sees a domain element. The engine colours the
 // decomposition's domain vertices (treedec.Nice.Colour) so that the members
@@ -94,15 +99,45 @@ type Query interface {
 	Accept(st string) bool
 }
 
-// SetPruner is an optional Query extension: PruneSet may drop states from a
-// determinized state set when their presence can never change acceptance —
-// typically states dominated by another state in the set, or everything
-// else once an absorbing accepting state is present. Pruning keeps the
-// probability computation exact (worlds whose pruned sets coincide are
-// accepted identically) while collapsing the table sizes that drive the
-// engine's constant factor.
+// SetPruner is an optional Query extension that keeps determinized state
+// sets small without changing which worlds are accepted. PruneKey describes
+// one state:
+//
+//   - a non-empty collapse names an absorbing accepting state: a set holding
+//     a state with a collapse becomes the one-state set {collapse};
+//   - otherwise a state is dominated, and dropped, when the set holds
+//     another state of the same class whose mask is a strict superset of its
+//     own — any continuation accepting from the dominated state accepts from
+//     the dominating one.
+//
+// Pruning keeps the probability computation exact (worlds whose pruned sets
+// coincide are accepted identically) while collapsing the table sizes that
+// drive the engine's constant factor. The description is per state, so a
+// plan's automaton records it once when the state is interned and prunes
+// sets of state ids with integer compares (see pruneSet).
 type SetPruner interface {
-	PruneSet(set []string) []string
+	PruneKey(st string) (class string, mask uint32, collapse string)
+}
+
+// ErrTooManyColours reports a decomposition whose colouring needs more
+// colours than the query's state keys can name: a bag with more domain
+// elements than that. Test for it with errors.Is.
+var ErrTooManyColours = errors.New("core: a bag holds more domain elements than the query's states can name")
+
+// checkColours rejects a colouring q's states cannot represent, before any
+// state is built: a CQQuery state names a colour in one byte.
+func checkColours(q Query, colour []int) error {
+	if _, ok := q.(*CQQuery); !ok {
+		return nil
+	}
+	need := 0
+	for _, c := range colour {
+		need = max(need, c+1)
+	}
+	if need > maxCQColours {
+		return fmt.Errorf("%w: %d colours, at most %d", ErrTooManyColours, need, maxCQColours)
+	}
+	return nil
 }
 
 // factSignature returns q's signature id of fact f read in a bag of the
@@ -117,11 +152,55 @@ func factSignature(q Query, f rel.Fact, di *rel.DomainIndex, colour []int, buf *
 	return q.FactSignature(f, cs)
 }
 
-func prune(q Query, set []string) []string {
-	if p, ok := q.(SetPruner); ok {
-		return p.PruneSet(set)
+// pruneKey is one state's SetPruner description with its class in a
+// comparable form: the class string on the string path, an interned class id
+// on the automaton's id path.
+type pruneKey[C comparable] struct {
+	class C
+	mask  uint32
+}
+
+// keepUndominated is the SetPruner domination rule, shared by both paths:
+// it appends to out the indices of the keys that no other key of the same
+// class strictly covers. A dominated key's dominator is itself kept or
+// dominated by a kept one, so one pass decides every key.
+func keepUndominated[C comparable](keys []pruneKey[C], out []int) []int {
+	for i, ki := range keys {
+		dominated := false
+		for _, kj := range keys {
+			if kj.class == ki.class && ki.mask&^kj.mask == 0 && ki.mask != kj.mask {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			out = append(out, i)
+		}
 	}
-	return set
+	return out
+}
+
+// prune applies q's SetPruner (if any) to a sorted, deduplicated set of
+// state strings; the result stays sorted.
+func prune(q Query, set []string) []string {
+	p, ok := q.(SetPruner)
+	if !ok {
+		return set
+	}
+	keys := make([]pruneKey[string], len(set))
+	for i, st := range set {
+		class, mask, collapse := p.PruneKey(st)
+		if collapse != "" {
+			return []string{collapse}
+		}
+		keys[i] = pruneKey[string]{class, mask}
+	}
+	kept := keepUndominated(keys, nil)
+	out := make([]string, len(kept))
+	for i, k := range kept {
+		out[i] = set[k]
+	}
+	return out
 }
 
 // detStep applies the subset construction for a single-state transition

@@ -341,16 +341,15 @@ func (q *ReachQuery) FactTransitions(st string, sig int) []string {
 // Accept holds only in the absorbing connected state.
 func (q *ReachQuery) Accept(st string) bool { return st == reachDone }
 
-// PruneSet collapses any set containing the absorbing connected state: once
-// some run has connected Source and Target, the remaining runs cannot change
-// acceptance.
-func (q *ReachQuery) PruneSet(set []string) []string {
-	for _, st := range set {
-		if st == reachDone {
-			return []string{reachDone}
-		}
+// PruneKey implements SetPruner: a set holding the absorbing connected
+// state collapses to it, since once some run has connected Source and
+// Target the remaining runs cannot change acceptance. Every other state has
+// the same class and mask, so none dominates another.
+func (q *ReachQuery) PruneKey(st string) (class string, mask uint32, collapse string) {
+	if st == reachDone {
+		return "", 0, reachDone
 	}
-	return set
+	return "", 0, ""
 }
 
 func insertElem(elems, block []int, e, b int) ([]int, []int) {

@@ -62,23 +62,43 @@ func (n *Nice) Stats() Stats {
 // one existing bag can be absorbed by splicing nodes above that bag, and the
 // shallower the bag, the shorter the dirty spine every later update on that
 // fact has to recompute. An empty scope attaches at the root.
-func (n *Nice) AttachPoint(scope []int) int {
+//
+// It builds a fresh AttachIndex, O(nodes); a caller searching one
+// decomposition repeatedly keeps the index instead.
+func (n *Nice) AttachPoint(scope []int) int { return n.NewAttachIndex().Find(scope) }
+
+// AttachIndex is AttachPoint's search index over one nice decomposition:
+// every node's depth and the vertex-to-nodes occurrence lists. It reads the
+// decomposition it was built from, so it is valid until that decomposition
+// changes.
+type AttachIndex struct {
+	n      *Nice
+	depths []int
+	occ    csr
+}
+
+// NewAttachIndex builds the attach-point index of n.
+func (n *Nice) NewAttachIndex() *AttachIndex {
+	bags := make([][]int, len(n.Nodes))
+	for i, nd := range n.Nodes {
+		bags[i] = nd.Bag
+	}
+	return &AttachIndex{n: n, depths: n.Depths(), occ: vertexOccurrences(bags, nil)}
+}
+
+// Find is AttachPoint over the indexed decomposition.
+func (ix *AttachIndex) Find(scope []int) int {
+	n := ix.n
 	if len(n.Nodes) == 0 {
 		return -1
 	}
 	if len(scope) == 0 {
 		return n.Root
 	}
-	depths := n.Depths()
-	bags := make([][]int, len(n.Nodes))
-	for i, nd := range n.Nodes {
-		bags[i] = nd.Bag
-	}
-	occ := vertexOccurrences(bags, nil)
 	// Scan only the occurrence list of the rarest vertex of the scope.
 	node := -1
-	for _, t := range occ.row(rarest(occ, scope)) {
-		if containsAll(bags[t], scope) && (node < 0 || depths[t] < depths[node]) {
+	for _, t := range ix.occ.row(rarest(ix.occ, scope)) {
+		if containsAll(n.Nodes[t].Bag, scope) && (node < 0 || ix.depths[t] < ix.depths[node]) {
 			node = t
 		}
 	}
