@@ -75,7 +75,7 @@ type Plan struct {
 }
 
 // structure is the compiled shape of a plan: the nodes, their topology, the
-// nice decomposition they were compiled from (AttachPoint searches it), the
+// nice decomposition they were compiled from (an AttachIndex searches it), the
 // forget node applying each event's weight, and the event index. A plan
 // never changes its own; a view that attaches facts splices a clone.
 type structure struct {
@@ -513,11 +513,13 @@ type detPass struct {
 
 	// pairs[a*stride+b] memoizes the Join of states a and b for the whole
 	// pass: 0 when not yet joined, 1 when the pair does not merge, m+2 for
-	// merged state m. The state count depends only on the query and the
-	// width (38 states for R·S·T at width 1, about 800 for S·S·S at width
-	// 2), so the table stays a few MB at most; the stride doubles as states
-	// are interned, and a pass that never misses a set join never
-	// allocates it.
+	// merged state m. The stride is the next power of two (at least 64) at
+	// or above the state count and doubles as states are interned, so the
+	// table takes 4·stride² bytes in every pass that misses a set join; a
+	// pass that never misses one never allocates it. The state count
+	// depends only on the query and the width, not on the instance (38
+	// states for R·S·T at width 1, 795 for S·S·S at width 2: 4 MiB), but
+	// it grows exponentially in both, and the table with it.
 	pairs  []int32
 	stride int
 

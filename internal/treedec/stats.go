@@ -56,19 +56,13 @@ func (n *Nice) Stats() Stats {
 	}
 }
 
-// AttachPoint returns the shallowest node whose bag contains every vertex of
-// scope, or -1 when no bag covers the scope. It is the attach-point search of
-// incremental fact insertion: a new fact whose argument vertices all sit in
-// one existing bag can be absorbed by splicing nodes above that bag, and the
+// AttachIndex is the attach-point search of incremental fact insertion over
+// one nice decomposition: Find returns the shallowest node whose bag contains
+// every vertex of a scope. A new fact whose argument vertices all sit in one
+// existing bag can be absorbed by splicing nodes above that bag, and the
 // shallower the bag, the shorter the dirty spine every later update on that
-// fact has to recompute. An empty scope attaches at the root.
-//
-// It builds a fresh AttachIndex, O(nodes); a caller searching one
-// decomposition repeatedly keeps the index instead.
-func (n *Nice) AttachPoint(scope []int) int { return n.NewAttachIndex().Find(scope) }
-
-// AttachIndex is AttachPoint's search index over one nice decomposition:
-// every node's depth and the vertex-to-nodes occurrence lists. It reads the
+// fact has to recompute. The index holds every node's depth and the
+// vertex-to-nodes occurrence lists, O(nodes) to build. It reads the
 // decomposition it was built from, so it is valid until that decomposition
 // changes.
 type AttachIndex struct {
@@ -86,7 +80,8 @@ func (n *Nice) NewAttachIndex() *AttachIndex {
 	return &AttachIndex{n: n, depths: n.Depths(), occ: vertexOccurrences(bags, nil)}
 }
 
-// Find is AttachPoint over the indexed decomposition.
+// Find returns the shallowest node whose bag contains every vertex of scope,
+// or -1 when no bag covers the scope. An empty scope attaches at the root.
 func (ix *AttachIndex) Find(scope []int) int {
 	n := ix.n
 	if len(n.Nodes) == 0 {

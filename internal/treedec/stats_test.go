@@ -50,10 +50,11 @@ func TestAttachPoint(t *testing.T) {
 	g := pathGraph(6)
 	nice := MakeNice(Decompose(g, MinDegree))
 	depths := nice.Depths()
+	ix := nice.NewAttachIndex()
 
 	// Every edge of the path is a clique and must have a covering bag.
 	for v := 0; v+1 < 6; v++ {
-		at := nice.AttachPoint([]int{v, v + 1})
+		at := ix.Find([]int{v, v + 1})
 		if at < 0 {
 			t.Fatalf("no attach point for edge {%d,%d}", v, v+1)
 		}
@@ -69,11 +70,11 @@ func TestAttachPoint(t *testing.T) {
 	}
 
 	// Non-adjacent endpoints share no bag on a path decomposition.
-	if at := nice.AttachPoint([]int{0, 5}); at >= 0 {
+	if at := ix.Find([]int{0, 5}); at >= 0 {
 		t.Errorf("unexpected covering bag %v for {0,5}", nice.Nodes[at].Bag)
 	}
 	// The empty scope attaches at the root.
-	if at := nice.AttachPoint(nil); at != nice.Root {
+	if at := ix.Find(nil); at != nice.Root {
 		t.Errorf("empty scope attach = %d, want root %d", at, nice.Root)
 	}
 }
