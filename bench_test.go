@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -281,43 +282,49 @@ func BenchmarkE1Update(b *testing.B) {
 	})
 	// In-place structure growth: every Insert is a fresh fact whose
 	// arguments share a bag (a reversed S edge), so the owning shard's view
-	// splices an introduce/forget pair and recommits its root path. The
-	// edges are visited with a stride coprime to n, so any prefix samples
-	// the whole chain (the spine an attach recommits varies along it). A
-	// store runs out of fresh reversed edges after n inserts; the next one
-	// is built off the clock.
+	// splices an introduce/forget pair and recommits its root path. One op
+	// is a full cycle of n inserts, one per reversed edge, on a store built
+	// off the clock, so every op does the same work whatever b.N is. The
+	// edges are visited with a stride coprime to n, so the spine an attach
+	// recommits varies along the cycle. ns/update and allocs/update are per
+	// insert.
 	b.Run("attach/n=800", func(b *testing.B) {
 		const n = 800
-		var s *incr.Store
-		var v *incr.View
-		next := n
+		var ms runtime.MemStats
+		var mallocs uint64
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if next == n {
-				b.StopTimer()
-				var err error
-				if s, err = incr.NewStore(tid); err != nil {
-					b.Fatal(err)
-				}
-				if v, err = s.RegisterView(q, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-				next = 0
-				b.StartTimer()
-			}
-			before := s.Stats().Attached
-			j := next * 337 % n
-			f := rel.NewFact("S", fmt.Sprintf("v%d", j+1), fmt.Sprintf("v%d", j))
-			next++
-			if _, err := s.Insert(f, 0.5); err != nil {
+			b.StopTimer()
+			s, err := incr.NewStore(tid)
+			if err != nil {
 				b.Fatal(err)
 			}
-			if s.Stats().Attached != before+1 {
-				b.Fatalf("insert of %s was not absorbed in place", f)
+			v, err := s.RegisterView(q, core.Options{})
+			if err != nil {
+				b.Fatal(err)
 			}
-			_ = v.Probability()
+			runtime.ReadMemStats(&ms)
+			mallocs -= ms.Mallocs
+			b.StartTimer()
+			for k := 0; k < n; k++ {
+				j := k * 337 % n
+				f := rel.NewFact("S", fmt.Sprintf("v%d", j+1), fmt.Sprintf("v%d", j))
+				before := s.Stats().Attached
+				if _, err := s.Insert(f, 0.5); err != nil {
+					b.Fatal(err)
+				}
+				if s.Stats().Attached != before+1 {
+					b.Fatalf("insert of %s was not absorbed in place", f)
+				}
+				_ = v.Probability()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&ms)
+			mallocs += ms.Mallocs
+			b.StartTimer()
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/update")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/update")
+		b.ReportMetric(float64(mallocs)/float64(b.N*n), "allocs/update")
 	})
 	b.Run("reprepare/n=800", func(b *testing.B) {
 		work := gen.RSTChain(800, 0.5)

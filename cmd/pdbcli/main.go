@@ -49,6 +49,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"slices"
@@ -185,14 +186,8 @@ func main() {
 			fmt.Printf("  shard %d: width %d, %d nodes, depth %d, max bag %d\n", i, st.Width, st.Nodes, st.Depth, st.MaxBag)
 		}
 	}
-	if *mode == "prob" || *mode == "all" {
-		fmt.Printf("probability: %.9f (joint width %d)\n", res.Probability, res.Width)
-	}
-	if *mode == "possible" || *mode == "all" {
-		fmt.Printf("possible: %v\n", res.Probability > 1e-15)
-	}
-	if *mode == "certain" || *mode == "all" {
-		fmt.Printf("certain: %v\n", res.Probability > 1-1e-12)
+	if err := printAnswers(os.Stdout, *mode, pl, p, res); err != nil {
+		fatal(err)
 	}
 
 	if *batchSpec != "" {
@@ -209,6 +204,30 @@ func main() {
 			fmt.Printf("  P(%s)=%.6g  ->  P(q)=%.9f\n", sweepEvent, v, probs[i])
 		}
 	}
+}
+
+// printAnswers writes the answers mode selects: the probability from res,
+// and possibility and certainty from the plan's reachability pass, which is
+// exact where a threshold on the probability is not (1e-24 is possible, and
+// 1-1e-13 is not certain).
+func printAnswers(w io.Writer, mode string, pl *core.Plan, p logic.Prob, res *core.Result) error {
+	if mode == "prob" || mode == "all" {
+		fmt.Fprintf(w, "probability: %.9f (joint width %d)\n", res.Probability, res.Width)
+	}
+	if mode == "prob" {
+		return nil
+	}
+	possible, certain, err := pl.PossibleCertain(p)
+	if err != nil {
+		return err
+	}
+	if mode == "possible" || mode == "all" {
+		fmt.Fprintf(w, "possible: %v\n", possible)
+	}
+	if mode == "certain" || mode == "all" {
+		fmt.Fprintf(w, "certain: %v\n", certain)
+	}
+	return nil
 }
 
 // RunSweep evaluates the plan with the probability of event swept over vals,

@@ -3,6 +3,7 @@ package repro
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -74,7 +75,8 @@ func TestIntegrationChaseThenEngine(t *testing.T) {
 // TestIntegrationProvenanceAgreesWithProbabilitySupports checks that the
 // why-provenance witnesses of a query are exactly the fact sets whose
 // presence makes the query hold minimally, tying internal/provenance to the
-// possible-worlds semantics.
+// possible-worlds semantics: the minimal satisfying worlds are found by
+// enumeration over every world of the instance.
 func TestIntegrationProvenanceAgreesWithProbabilitySupports(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
 	err := quick.Check(func(seed int64) bool {
@@ -107,11 +109,52 @@ func TestIntegrationProvenanceAgreesWithProbabilitySupports(t *testing.T) {
 				return false
 			}
 		}
+		got := make([]int, len(ws))
+		for i, w := range ws {
+			for _, id := range w {
+				var fi int
+				if _, err := fmtSscan(id, &fi); err != nil {
+					return false
+				}
+				got[i] |= 1 << fi
+			}
+		}
+		slices.Sort(got)
+		if want := minimalSatisfyingWorlds(tid, q); !slices.Equal(got, want) {
+			t.Logf("seed %d: witnesses %v (as fact masks %b), minimal satisfying worlds %b", seed, ws, got, want)
+			return false
+		}
 		return true
 	}, cfg)
 	if err != nil {
 		t.Error(err)
 	}
+}
+
+// minimalSatisfyingWorlds enumerates the worlds of tid and returns, in
+// increasing order, the fact masks of those the query holds on while it
+// fails on every world with one fact fewer.
+func minimalSatisfyingWorlds(tid *pdb.TID, q rel.CQ) []int {
+	n := tid.NumFacts()
+	holds := make([]bool, 1<<n)
+	present := make([]bool, n)
+	for mask := range holds {
+		for i := range present {
+			present[i] = mask>>i&1 == 1
+		}
+		holds[mask] = q.Holds(tid.World(present))
+	}
+	var minimal []int
+	for mask, h := range holds {
+		isMin := h
+		for i := 0; isMin && i < n; i++ {
+			isMin = mask>>i&1 == 0 || !holds[mask&^(1<<i)]
+		}
+		if isMin {
+			minimal = append(minimal, mask)
+		}
+	}
+	return minimal
 }
 
 func fmtSscan(id string, fi *int) (int, error) {

@@ -150,65 +150,3 @@ func ProbabilityPC(c *pdb.CInstance, p logic.Prob, q rel.CQ, opts Options) (*Res
 	}
 	return pl.Result(p)
 }
-
-// RunOnWorld replays the determinized automaton over a single certain world
-// (a subset of the instance's facts) and reports acceptance. It exists to
-// validate Query implementations against reference algorithms; it uses the
-// instance decomposition only (no events), coloured as Prepare colours the
-// joint one.
-func RunOnWorld(inst *rel.Instance, present []bool, q Query) (bool, error) {
-	di := inst.IndexDomain()
-	g := inst.GaifmanGraph(di)
-	nice := treedec.MakeNice(treedec.Decompose(g, treedec.MinFill))
-	colour := nice.Colour(len(di.Names))
-	if err := checkColours(q, colour); err != nil {
-		return false, err
-	}
-	factsAt, err := homeFacts(inst, di, nice, colour, q)
-	if err != nil {
-		return false, err
-	}
-	sets := make([][]string, nice.NumNodes())
-	for _, t := range nice.PostOrder() {
-		nd := nice.Nodes[t]
-		var set []string
-		switch nd.Kind {
-		case treedec.NiceLeaf:
-			set = detStep(q, q.Start(), func(s string) []string { return []string{s} })
-		case treedec.NiceIntroduce:
-			set = detStep(q, sets[nd.Children[0]], func(s string) []string { return q.Introduce(s, colour[nd.Vertex]) })
-		case treedec.NiceForget:
-			set = detStep(q, sets[nd.Children[0]], func(s string) []string { return q.Forget(s, colour[nd.Vertex]) })
-		case treedec.NiceJoin:
-			set = detJoin(sets[nd.Children[0]], sets[nd.Children[1]], q)
-		}
-		for _, hf := range factsAt[t] {
-			if present[hf.fi] {
-				set = detFact(set, q, hf.sig)
-			}
-		}
-		sets[t] = set
-	}
-	return acceptsAny(sets[nice.Root], q), nil
-}
-
-// homedFact is a fact of an instance homed at a nice node: its index and its
-// signature under q.
-type homedFact struct{ fi, sig int }
-
-// homeFacts homes every fact of inst at a node of nice whose bag covers its
-// arguments and addresses it by its signature under q in that colouring; the
-// result lists each node's facts in instance order.
-func homeFacts(inst *rel.Instance, di *rel.DomainIndex, nice *treedec.Nice, colour []int, q Query) ([][]homedFact, error) {
-	assign, err := nice.AssignScopes(inst.FactScopes(di))
-	if err != nil {
-		return nil, err
-	}
-	factsAt := make([][]homedFact, nice.NumNodes())
-	var buf []int
-	for fi, node := range assign {
-		sig := factSignature(q, inst.Fact(fi), di, colour, &buf)
-		factsAt[node] = append(factsAt[node], homedFact{fi: fi, sig: sig})
-	}
-	return factsAt, nil
-}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/pdb"
 	"repro/internal/rel"
+	"repro/internal/treedec"
 )
 
 // randomTID builds a small random TID over a few relations with low
@@ -379,6 +380,49 @@ func TestPossibleCertainTID(t *testing.T) {
 	}
 }
 
+// TestPropertyPossibleCertainPCMatchesEnumeration checks the plan's
+// reachability pass against enumeration over the valuations p allows, on
+// pc-instances with negated annotations and event probabilities at 0 and 1
+// and next to them.
+func TestPropertyPossibleCertainPCMatchesEnumeration(t *testing.T) {
+	weights := []float64{0, 1, 0.5, 1e-9, 1 - 1e-13}
+	queries := []rel.CQ{
+		rel.HardQuery(),
+		rel.NewCQ(rel.NewAtom("S", rel.V("x"), rel.V("y")), rel.NewAtom("T", rel.V("y"))),
+	}
+	r := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		c, p := randomCorrelatedPC(r, 1+r.Intn(7))
+		for _, e := range []logic.Event{"u", "v", "w"} {
+			p[e] = weights[r.Intn(len(weights))]
+		}
+		q := queries[trial%len(queries)]
+		wantPossible, wantCertain := false, true
+		c.EnumerateWorlds(func(v logic.Valuation, world *rel.Instance) {
+			for e, val := range v {
+				if pe := p.P(e); val && pe == 0 || !val && pe == 1 {
+					return // a valuation of probability 0
+				}
+			}
+			holds := q.Holds(world)
+			wantPossible = wantPossible || holds
+			wantCertain = wantCertain && holds
+		})
+		pl, err := PrepareCQ(c, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		possible, certain, err := pl.PossibleCertain(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if possible != wantPossible || certain != wantCertain {
+			t.Fatalf("trial %d: possible %v certain %v, enumeration %v %v; p %v on\n%s",
+				trial, possible, certain, wantPossible, wantCertain, p, c.Inst)
+		}
+	}
+}
+
 func TestPropertyMonotoneLineageMatchesSemantics(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 80}
 	err := quick.Check(func(seed int64) bool {
@@ -450,6 +494,32 @@ func TestWideCQRejectedWithError(t *testing.T) {
 	}
 }
 
+// runOnWorld reports whether q holds on one world of inst, the facts with
+// present[i], by running the prepared plan of inst's TID translation under
+// the world's 0/1 fact weights. The determinized rows partition the
+// valuations, so the probability is exactly 0 or 1.
+func runOnWorld(inst *rel.Instance, present []bool, q Query) (bool, error) {
+	tid := &pdb.TID{Inst: inst, Probs: make([]float64, len(present))}
+	for i, keep := range present {
+		if keep {
+			tid.Probs[i] = 1
+		}
+	}
+	c, p := tid.ToCInstance()
+	pl, err := Prepare(c, q, Options{Heuristic: treedec.MinFill})
+	if err != nil {
+		return false, err
+	}
+	prob, err := pl.Probability(p)
+	if err != nil {
+		return false, err
+	}
+	if prob != 0 && prob != 1 {
+		return false, fmt.Errorf("probability %v of a single world is not 0 or 1", prob)
+	}
+	return prob == 1, nil
+}
+
 func TestRunOnWorldMatchesCQHolds(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
@@ -463,7 +533,7 @@ func TestRunOnWorldMatchesCQHolds(t *testing.T) {
 			for i := range present {
 				present[i] = r.Intn(2) == 0
 			}
-			got, err := RunOnWorld(inst, present, cq)
+			got, err := runOnWorld(inst, present, cq)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -38,7 +38,7 @@ func errMassDrift(total float64) error {
 // program (rowprog.go). Every evaluation — Probability, Result (lineage
 // included), ProbabilityBatch, the sharded root vectors — runs that program:
 // pure kernel arithmetic over dense row blocks, with no interning and no map
-// traffic.
+// traffic. PossibleCertain walks the same program for reachability.
 //
 // The pass keeps its pair-level scratch to itself; the plan retains only the
 // program, its structure, and the automaton (interned states and sets, and
@@ -829,7 +829,7 @@ func (pl *Plan) eval(p logic.Prob, emitLineage bool) (*Result, error) {
 		return nil, errMassDrift(res.TotalMass)
 	}
 	if emitLineage {
-		res.Lineage, res.Root = pl.lineage(prog)
+		res.Lineage, res.Root = pl.lineage(prog, false)
 	}
 	// Clamp floating noise.
 	if res.Probability < 0 {

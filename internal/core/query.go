@@ -8,20 +8,23 @@
 // generically and compile conjunctive queries (CQQuery) and an MSO query
 // beyond CQs, s-t connectivity (ReachQuery), to it.
 //
-// Two engines consume a Query:
+// One engine consumes a Query. Prepare (plan.go) determinizes the automaton
+// over a nice decomposition of the joint instance+event graph and compiles
+// the dynamic program into a row program (rowprog.go), and every query
+// semantics is read off that program:
 //
-//   - Probability (engine.go) runs the determinized automaton over a nice
-//     decomposition of the joint instance+event graph, propagating exact
-//     probabilities. This is the algorithm of Theorems 1 and 2: linear in
-//     the instance for fixed query and width. It can simultaneously emit the
-//     lineage as a deterministic, decomposable circuit (d-DNNF style), whose
-//     probability is recomputable in linear time.
-//
-//   - MonotoneLineage (lineage.go) runs the nondeterministic automaton and
-//     emits a monotone lineage circuit over per-fact variables — the
-//     provenance circuit of the Section 2.2 semiring-provenance connection,
-//     evaluable in any absorptive commutative semiring (internal/provenance)
-//     and supporting O(gates) possibility and certainty checks.
+//   - probability: one run of the program propagates exact probability mass
+//     per row (Theorems 1 and 2), linear in the instance for fixed query and
+//     width;
+//   - lineage: a walk over the program emits a deterministic, decomposable
+//     circuit (d-DNNF style) whose probability is recomputable in linear
+//     time, and, with its negative literals set to true, the monotone
+//     lineage over per-fact variables (CQLineage) — the provenance circuit
+//     of the Section 2.2 semiring-provenance connection, evaluable in any
+//     absorptive commutative semiring (internal/provenance);
+//   - possibility and certainty: a reachability pass over the program marks
+//     the rows some valuation allowed by the probabilities reaches
+//     ((*Plan).PossibleCertain).
 package core
 
 import (
@@ -64,7 +67,7 @@ func sortStrings(ss []string) { sort.Strings(ss) }
 // implicit identity transition when it is absent. (All queries in the paper
 // — CQs, tree patterns, guarded fragments — are preserved under adding
 // facts; extending the interface with absence-transitions would support
-// non-monotone MSO at no change to the engines.)
+// non-monotone MSO at no change to the engine.)
 type Query interface {
 	// Start returns the states at an empty leaf bag.
 	Start() []string
@@ -210,19 +213,6 @@ func detStep(q Query, set []string, step func(string) []string) []string {
 	out := make(map[string]struct{})
 	for _, st := range set {
 		for _, succ := range step(st) {
-			out[succ] = struct{}{}
-		}
-	}
-	return prune(q, sortedKeys(out))
-}
-
-// detFact applies a fact of signature sig to a state set: every state
-// survives (identity) and contributes its fact transitions.
-func detFact(set []string, q Query, sig int) []string {
-	out := make(map[string]struct{}, len(set))
-	for _, st := range set {
-		out[st] = struct{}{}
-		for _, succ := range q.FactTransitions(st, sig) {
 			out[succ] = struct{}{}
 		}
 	}

@@ -134,8 +134,9 @@ func TestPropertyReachRunOnWorldMatchesBFS(t *testing.T) {
 		for i := range present {
 			present[i] = r.Intn(2) == 0
 		}
-		got, err := RunOnWorld(inst, present, q)
+		got, err := runOnWorld(inst, present, q)
 		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		world := rel.NewInstance()

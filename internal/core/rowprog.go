@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/core/kernel"
@@ -29,7 +30,9 @@ import (
 //
 //   - Prepare compiles the whole plan (compileProgram) and fuses its unary
 //     chains; every plan evaluation — Probability, Result (whose lineage is a
-//     walk over the same program), ProbabilityBatch, rootVec — runs it.
+//     walk over the same program, as is CQLineage's monotone one),
+//     ProbabilityBatch, rootVec — runs it, and PossibleCertain walks it for
+//     reachability.
 //   - core.Materialized compiles per node, unfused, against its persisted
 //     dense tables (compileNodeProg), so live-view spine recomputation runs
 //     the same kernels; a structure splice (StageAttach) just drops the
@@ -582,7 +585,11 @@ func (pl *Plan) runBatchProg(st *evalState, prog *rowProgram, pe []float64, B in
 // forget edge conjoins the event being forgotten there, a join edge
 // combines disjoint subtrees. Fused unary chains are 0/1 maps that never
 // drop an event bit, so they keep both properties.
-func (pl *Plan) lineage(prog *rowProgram) (*circuit.Circuit, circuit.Gate) {
+//
+// With monotone set, every negative literal is true instead and no Not gate
+// is built: the monotone lineage of CQLineage, whose doc says why it is
+// exact for monotone queries.
+func (pl *Plan) lineage(prog *rowProgram, monotone bool) (*circuit.Circuit, circuit.Gate) {
 	c := circuit.New()
 	gates := make([][]circuit.Gate, len(prog.nodes))
 	var ors [][]circuit.Gate
@@ -611,7 +618,10 @@ func (pl *Plan) lineage(prog *rowProgram) (*circuit.Circuit, circuit.Gate) {
 			}
 		case pkForgetEvent:
 			lit1 := c.Var(pl.events[np.eventIdx])
-			lit0 := c.Not(lit1)
+			lit0 := c.Const(true)
+			if !monotone {
+				lit0 = c.Not(lit1)
+			}
 			for _, e := range np.edges[:np.n1] {
 				ors[e.dst] = append(ors[e.dst], c.And(g0[e.src], lit1))
 			}
@@ -635,8 +645,77 @@ func (pl *Plan) lineage(prog *rowProgram) (*circuit.Circuit, circuit.Gate) {
 			accept = append(accept, gates[pl.root][i])
 		}
 	}
-	sortGates(accept)
+	// Deterministic OR order for reproducible circuits.
+	slices.Sort(accept)
 	return c, c.Or(accept...)
+}
+
+// PossibleCertain reports whether the query is possible under p — it holds
+// in the world of some valuation p allows — and whether it is certain — it
+// holds in the world of every such valuation. An event of probability 0 is
+// false in every allowed valuation, one of probability 1 true, and any
+// other event may take either value.
+//
+// One pass over the row program marks the rows some allowed valuation
+// reaches. A row of a table stands for the valuations of the events
+// forgotten below it that drive the run into that row, so a row is
+// reachable iff one of its incoming edges is enabled from reachable
+// sources: a forget-event edge is enabled when p allows its event value,
+// and a join edge needs both operands, whose forgotten events are disjoint.
+// The query is possible iff a reachable root row accepts, and certain iff
+// every reachable root row does. No probability is summed, so the answer is
+// exact on any pc-instance, negated annotations included. Safe for
+// concurrent calls.
+func (pl *Plan) PossibleCertain(p logic.Prob) (possible, certain bool, err error) {
+	if err := p.Validate(); err != nil {
+		return false, false, err
+	}
+	prog := pl.prog
+	reach := make([][]bool, len(prog.nodes))
+	for _, t := range pl.post {
+		np := prog.nodes[t]
+		if np.dead {
+			continue
+		}
+		var r0, r1 []bool
+		if np.in0 >= 0 {
+			r0, reach[np.in0] = reach[np.in0], nil
+		}
+		if np.in1 >= 0 {
+			r1, reach[np.in1] = reach[np.in1], nil
+		}
+		out := make([]bool, np.rows)
+		switch np.kind {
+		case pkLeaf:
+			out[0] = true
+		case pkUnary, pkForgetEvent:
+			edges := np.edges
+			if np.kind == pkForgetEvent {
+				switch p.P(pl.events[np.eventIdx]) {
+				case 0:
+					edges = edges[np.n1:] // only the false-bit edges
+				case 1:
+					edges = edges[:np.n1] // only the true-bit edges
+				}
+			}
+			for _, e := range edges {
+				out[e.dst] = out[e.dst] || r0[e.src]
+			}
+		case pkJoin:
+			for _, j := range np.joins {
+				out[j.dst] = out[j.dst] || r0[j.l] && r1[j.r]
+			}
+		}
+		reach[t] = out
+	}
+	certain = true
+	for i, set := range prog.rootSets {
+		if reach[pl.root][i] {
+			possible = possible || pl.accept[set]
+			certain = certain && pl.accept[set]
+		}
+	}
+	return possible, certain, nil
 }
 
 // fillLaneWeights writes the lane-major Bernoulli weight matrix of ps into

@@ -349,7 +349,7 @@ func (s *Store) SetCommitHook(h CommitHook) {
 // eventOf names the private event of fact id; ids are stable, so the event
 // name survives rebuilds (and matches pdb.TID.EventOf for the seed facts).
 func (s *Store) eventOf(id int) logic.Event {
-	return logic.Event(fmt.Sprintf("f%d", id))
+	return core.FactEvent(id)
 }
 
 // rebuildShards recomputes the connected-component partition of the live

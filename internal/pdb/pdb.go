@@ -109,7 +109,9 @@ func (t *TID) SetProb(i int, p float64) error {
 func (t *TID) NumFacts() int { return t.Inst.NumFacts() }
 
 // EventOf returns the canonical event name for fact i ("f<i>"), used when
-// translating to c- or pcc-instances.
+// translating to c- or pcc-instances. It reads nothing of t, and it is the
+// one definition of the name: core.FactEvent, the variable of fact i in a
+// lineage circuit, calls it.
 func (t *TID) EventOf(i int) logic.Event {
 	return logic.Event("f" + strconv.Itoa(i))
 }

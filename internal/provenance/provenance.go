@@ -4,12 +4,18 @@
 // Section 2.2 of the paper shows that for monotone queries the lineage
 // circuits produced by the automaton run are provenance circuits matching
 // the standard definition of semiring provenance for absorptive semirings.
-// The automaton may explore the same derivation several times and reuse a
-// fact across branches, so the circuit computes the provenance polynomial
-// only up to absorption (a ⊕ a⊗b = a) and multiplicative idempotence
-// (a ⊗ a = a); semirings satisfying both — Boolean, Viterbi-style max-min,
-// access-control levels, why-provenance — evaluate correctly. The counting
-// semiring, which is neither, is intentionally not provided.
+// core.CQLineage builds its circuit from the plan's d-DNNF lineage with
+// every negative literal set to true. The d-DNNF is decomposable, so a
+// variable occurs at most once in each monomial, and deterministic, so each
+// monomial is the fact set of a distinct world the query holds on: the
+// circuit's polynomial is the sum over the satisfying worlds. Absorption
+// (a ⊕ a⊗b = a) collapses that sum to the minimal witnesses. Agreeing with a
+// CQ's match-based provenance polynomial also takes multiplicative
+// idempotence (a ⊗ a = a), since a match that uses one fact twice
+// contributes its square. Semirings satisfying both — Boolean,
+// Viterbi-style max-min, access-control levels, why-provenance — evaluate
+// correctly. The counting semiring, which is neither, is intentionally not
+// provided.
 package provenance
 
 import (

@@ -2,12 +2,14 @@ package provenance
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/circuit"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/pdb"
 	"repro/internal/rel"
@@ -70,20 +72,29 @@ func TestWhyProvenanceMatchesMinimalWitnesses(t *testing.T) {
 	}
 }
 
+// TestPropertyWhyMatchesBruteForce compares the why-provenance of the hard
+// query with its minimal matching fact sets, on small random instances and
+// on R·S·T instances over width-2 partial k-trees, whose decompositions have
+// join nodes and fused unary chains.
 func TestPropertyWhyMatchesBruteForce(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 50}
 	err := quick.Check(func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		inst := rel.NewInstance()
-		names := []string{"a", "b", "c"}
-		for i := 0; i < 1+r.Intn(7); i++ {
-			switch r.Intn(3) {
-			case 0:
-				inst.AddFact("R", names[r.Intn(3)])
-			case 1:
-				inst.AddFact("S", names[r.Intn(3)], names[r.Intn(3)])
-			default:
-				inst.AddFact("T", names[r.Intn(3)])
+		if r.Intn(2) == 0 {
+			g, _ := gen.PartialKTree(3+r.Intn(3), 2, 0.7, r)
+			inst = gen.RSTOverGraph(g, 0.5, 0.5, r).Inst
+		} else {
+			names := []string{"a", "b", "c"}
+			for i := 0; i < 1+r.Intn(7); i++ {
+				switch r.Intn(3) {
+				case 0:
+					inst.AddFact("R", names[r.Intn(3)])
+				case 1:
+					inst.AddFact("S", names[r.Intn(3)], names[r.Intn(3)])
+				default:
+					inst.AddFact("T", names[r.Intn(3)])
+				}
 			}
 		}
 		q := rel.HardQuery()
@@ -103,6 +114,7 @@ func TestPropertyWhyMatchesBruteForce(t *testing.T) {
 			for i, fi := range set {
 				w[i] = string(core.FactEvent(fi))
 			}
+			slices.Sort(w) // witnesses list their tags in string order
 			brute = append(brute, w)
 		}
 		brute = normalize(brute)

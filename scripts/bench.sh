@@ -50,6 +50,7 @@ awk -v host="$(go env GOOS)/$(go env GOARCH)" '
         else if ($f == "allocs/op") allocs[name] += $(f-1)
         else if ($f == "ns/assign") assign[name] += $(f-1)
         else if ($f == "ns/update") update[name] += $(f-1)
+        else if ($f == "allocs/update") allocsupd[name] += $(f-1)
         else if ($f == "shards")    shards[name] += $(f-1)
         else if ($f == "req/s")     reqs[name] += $(f-1)
         else if ($f == "ns/durable_update") durable[name] += $(f-1)
@@ -84,6 +85,8 @@ END {
             extra = sprintf(", \"ns_per_assign\": %.1f", assign[name]/runs[name])
         if (name in update)
             extra = extra sprintf(", \"ns_per_update\": %.1f", update[name]/runs[name])
+        if (name in allocsupd)
+            extra = extra sprintf(", \"allocs_per_update\": %.1f", allocsupd[name]/runs[name])
         if (name in shards)
             extra = extra sprintf(", \"shards\": %.0f", shards[name]/runs[name])
         if (name in reqs)
