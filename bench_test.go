@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/cond"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -524,6 +526,91 @@ func BenchmarkE2WidthSweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// pccChain builds the E2PCC pcc-instance: the R·S·T chain of gen.RSTChain
+// over n+1 elements, its facts annotated by gates of one circuit over two
+// events per link. Adjacent facts share gates, negations included: R(v_i)
+// takes x_i, S(v_i, v_i+1) takes x_i ∧ y_i ∧ ¬x_i+1, and T(v_i+1) takes
+// ¬x_i+1 ∨ y_i. Its joint width stays fixed as n grows.
+func pccChain(n int) *pdb.PCC {
+	p := pdb.NewPCC()
+	c := p.Circ
+	x := func(i int) circuit.Gate {
+		e := logic.Event(fmt.Sprintf("x%d", i))
+		p.P[e] = 0.2 + 0.15*float64(i%5)
+		return c.Var(e)
+	}
+	for i := 0; i < n; i++ {
+		y := logic.Event(fmt.Sprintf("y%d", i))
+		p.P[y] = 0.5
+		notNext := c.Not(x(i + 1))
+		a, b := fmt.Sprintf("v%d", i), fmt.Sprintf("v%d", i+1)
+		p.Add(rel.NewFact("R", a), x(i))
+		p.Add(rel.NewFact("S", a, b), c.And(x(i), c.Var(y), notNext))
+		p.Add(rel.NewFact("T", b), c.Or(notNext, c.Var(y)))
+	}
+	return p
+}
+
+// BenchmarkE2PCC measures Theorem 2 on pcc-instances: PreparePCC plus one
+// evaluation on pccChain, whose joint width is fixed. It reports the row
+// program's edges (join edges included) per fact, the evaluation work
+// Theorem 2 bounds: it stays flat as n grows.
+func BenchmarkE2PCC(b *testing.B) {
+	q := rel.HardQuery()
+	for _, n := range []int{200, 800, 3200} {
+		pcc := pccChain(n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var pl *core.Plan
+			for i := 0; i < b.N; i++ {
+				var err error
+				if pl, err = core.PreparePCC(pcc, q, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := pl.Probability(pcc.P); err != nil {
+					b.Fatal(err)
+				}
+			}
+			_, edges := pl.ProgramSize()
+			b.ReportMetric(float64(edges)/float64(pcc.NumFacts()), "edges/fact")
+		})
+	}
+}
+
+// TestE2PCCWorkIsLinear checks Theorem 2's linear time on pccChain by
+// counting work, not time: the row program's edges per fact at n=3200 stay
+// within 1.25× of n=200. On a short chain the plan must also agree with
+// enumeration.
+func TestE2PCCWorkIsLinear(t *testing.T) {
+	q := rel.HardQuery()
+	small := pccChain(3)
+	pl, err := core.PreparePCC(small, q, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := pl.Probability(small.P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := small.QueryProbabilityEnumeration(q); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("pccChain(3): engine %v, enumeration %v", got, want)
+	}
+	perFact := map[int]float64{}
+	for _, n := range []int{200, 3200} {
+		pcc := pccChain(n)
+		pl, err := core.PreparePCC(pcc, q, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, edges := pl.ProgramSize()
+		perFact[n] = float64(edges) / float64(pcc.NumFacts())
+	}
+	t.Logf("edges per fact: n=200 %.2f, n=3200 %.2f", perFact[200], perFact[3200])
+	if perFact[3200] > 1.25*perFact[200] {
+		t.Errorf("edges per fact grew from %.2f at n=200 to %.2f at n=3200", perFact[200], perFact[3200])
+	}
 }
 
 // BenchmarkE3PrXMLLocal measures tree-pattern probability on local

@@ -1,23 +1,23 @@
-// Package circuit implements Boolean circuits over events and exact
-// probability computation on them.
+// Package circuit implements Boolean circuits over events.
 //
 // Circuits are the annotation language of pcc-instances (Section 2.2 of the
 // paper) and the output language of lineage construction (internal/core):
-// running the query "automaton" over a tree-decomposed uncertain instance
+// running the query automaton over a tree-decomposed uncertain instance
 // yields a lineage circuit describing which possible worlds satisfy the
-// query. When the circuit has a bounded-width tree decomposition, its
-// probability is computed exactly by message passing (Lauritzen–Spiegelhalter
-// style sum-product over a junction tree), which is this package's
-// centrepiece. An exhaustive valuation-enumeration baseline is provided for
-// cross-checking and for the experiments' intractable arms.
+// query. Probability on a circuit has two exact forms here: a single
+// bottom-up pass for the deterministic, decomposable circuits the engine
+// emits (DDNNFProbability), and valuation enumeration as the exponential
+// baseline and test oracle. A circuit of bounded treewidth is evaluated by
+// the engine itself: core.PreparePCC runs it, with the facts it annotates,
+// through the same row program as every other query (Theorem 2).
 package circuit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/logic"
+	"repro/internal/treedec"
 )
 
 // Gate identifies a gate within a circuit. Gates are created in topological
@@ -297,8 +297,8 @@ func (c *Circuit) EnumerationProbability(root Gate, p logic.Prob) float64 {
 
 // Monotone reports whether the circuit contains no negation gate (constants
 // aside), so that the function of every gate is monotone in the events.
-// Lineages of monotone queries on TIDs are monotone, enabling O(gates)
-// possibility and certainty checks.
+// Semiring provenance (internal/provenance) is defined on such circuits
+// only.
 func (c *Circuit) Monotone() bool {
 	for _, n := range c.nodes {
 		if n.kind == KindNot {
@@ -387,27 +387,6 @@ func (c *Circuit) writeGate(sb *strings.Builder, g Gate) {
 	}
 }
 
-// ReachableFrom returns the sorted gates reachable from root (including it).
-func (c *Circuit) ReachableFrom(root Gate) []Gate {
-	seen := make([]bool, len(c.nodes))
-	stack := []Gate{root}
-	seen[root] = true
-	var out []Gate
-	for len(stack) > 0 {
-		g := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, g)
-		for _, in := range c.nodes[g].inputs {
-			if !seen[in] {
-				seen[in] = true
-				stack = append(stack, in)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Validate checks internal invariants: topological input order and
 // deduplicated variable gates.
 func (c *Circuit) Validate() error {
@@ -426,4 +405,79 @@ func (c *Circuit) Validate() error {
 		}
 	}
 	return nil
+}
+
+// MoralGraph returns the "moralized" gate graph of the circuit: one vertex
+// per gate, with the scope of every gate ({gate} ∪ inputs) turned into a
+// clique, so a tree decomposition of it has a bag holding every gate
+// together with its inputs. pdb.PCC.JointGraph builds Theorem 2's joint
+// graph from it.
+func (c *Circuit) MoralGraph() *treedec.Graph {
+	g := treedec.NewGraph(len(c.nodes))
+	for i, n := range c.nodes {
+		scope := make([]int, 0, len(n.inputs)+1)
+		scope = append(scope, i)
+		for _, in := range n.inputs {
+			scope = append(scope, int(in))
+		}
+		g.AddClique(scope)
+	}
+	return g
+}
+
+// Binarize returns the part of c reachable from roots as a new circuit,
+// with every And and Or gate of more than two inputs rewritten as a
+// balanced binary tree of gates of its kind, together with the gates of
+// roots in the copy. Every gate of the copy then shares a moral clique of
+// at most three gates with its inputs. The variable gates come first, in
+// gate order, so the copy's first k gates are its k variables; the other
+// gates follow in topological order. Nothing is folded: each kept gate
+// computes the function it computed in c.
+func (c *Circuit) Binarize(roots []Gate) (*Circuit, []Gate) {
+	live := make([]bool, len(c.nodes))
+	for _, r := range roots {
+		live[r] = true
+	}
+	for g := len(c.nodes) - 1; g >= 0; g-- {
+		if live[g] {
+			for _, in := range c.nodes[g].inputs {
+				live[in] = true
+			}
+		}
+	}
+	out := New()
+	to := make([]Gate, len(c.nodes))
+	for g, n := range c.nodes {
+		if live[g] && n.kind == KindVar {
+			to[g] = out.Var(n.event)
+		}
+	}
+	for g, n := range c.nodes {
+		if !live[g] || n.kind == KindVar {
+			continue
+		}
+		ins := make([]Gate, len(n.inputs))
+		for i, in := range n.inputs {
+			ins[i] = to[in]
+		}
+		if len(ins) > 2 {
+			ins = []Gate{out.balanced(n.kind, ins[:len(ins)/2]), out.balanced(n.kind, ins[len(ins)/2:])}
+		}
+		to[g] = out.add(node{kind: n.kind, value: n.value, inputs: ins})
+	}
+	mapped := make([]Gate, len(roots))
+	for i, r := range roots {
+		mapped[i] = to[r]
+	}
+	return out, mapped
+}
+
+// balanced returns a balanced binary tree of gates of the given kind over
+// ins, or ins' only gate.
+func (c *Circuit) balanced(kind Kind, ins []Gate) Gate {
+	if len(ins) == 1 {
+		return ins[0]
+	}
+	mid := len(ins) / 2
+	return c.add(node{kind: kind, inputs: []Gate{c.balanced(kind, ins[:mid]), c.balanced(kind, ins[mid:])}})
 }

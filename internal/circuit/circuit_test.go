@@ -1,10 +1,10 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/logic"
 )
@@ -69,167 +69,6 @@ func TestFromFormulaAgreesWithFormula(t *testing.T) {
 	})
 }
 
-func TestProbabilitySimple(t *testing.T) {
-	c := New()
-	a, b := c.Var("a"), c.Var("b")
-	p := logic.Prob{"a": 0.3, "b": 0.5}
-	cases := []struct {
-		root Gate
-		want float64
-	}{
-		{a, 0.3},
-		{c.Not(a), 0.7},
-		{c.And(a, b), 0.15},
-		{c.Or(a, b), 0.65},
-		{c.Const(true), 1},
-		{c.Const(false), 0},
-	}
-	for _, tc := range cases {
-		got, err := c.Probability(tc.root, p, nil)
-		if err != nil {
-			t.Fatalf("Probability(%s): %v", c.String(tc.root), err)
-		}
-		if math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("P(%s) = %v, want %v", c.String(tc.root), got, tc.want)
-		}
-	}
-}
-
-func TestProbabilitySharedSubcircuit(t *testing.T) {
-	// root = (a & b) | (a & !b): shared a; P = P(a) = 0.4.
-	c := New()
-	a, b := c.Var("a"), c.Var("b")
-	root := c.Or(c.And(a, b), c.And(a, c.Not(b)))
-	got, err := c.Probability(root, logic.Prob{"a": 0.4, "b": 0.9}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("P = %v, want 0.4", got)
-	}
-}
-
-// randomCircuit builds a random circuit and returns it with a root gate.
-func randomCircuit(r *rand.Rand, nVars, nOps int) (*Circuit, Gate) {
-	c := New()
-	gates := []Gate{c.Const(true), c.Const(false)}
-	for i := 0; i < nVars; i++ {
-		gates = append(gates, c.Var(logic.Event(string(rune('a'+i)))))
-	}
-	for i := 0; i < nOps; i++ {
-		pick := func() Gate { return gates[r.Intn(len(gates))] }
-		var g Gate
-		switch r.Intn(3) {
-		case 0:
-			g = c.Not(pick())
-		case 1:
-			g = c.And(pick(), pick())
-		default:
-			g = c.Or(pick(), pick(), pick())
-		}
-		gates = append(gates, g)
-	}
-	return c, gates[len(gates)-1]
-}
-
-func TestPropertyMessagePassingMatchesEnumeration(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 80}
-	err := quick.Check(func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		c, root := randomCircuit(r, 2+r.Intn(4), 3+r.Intn(12))
-		p := logic.Prob{}
-		for _, e := range c.Events() {
-			p[e] = r.Float64()
-		}
-		want := c.EnumerationProbability(root, p)
-		got, err := c.Probability(root, p, nil)
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Logf("seed %d: msgpass %v vs enum %v on %s", seed, got, want, c.String(root))
-			return false
-		}
-		return true
-	}, cfg)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropertyPossibleCertainMatchEnumeration(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 60}
-	err := quick.Check(func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		c, root := randomCircuit(r, 2+r.Intn(3), 3+r.Intn(8))
-		events := c.Events()
-		possible, certain := false, true
-		logic.EnumerateValuations(events, func(v logic.Valuation) {
-			if c.Eval(root, v) {
-				possible = true
-			} else {
-				certain = false
-			}
-		})
-		gotP, err := c.Possible(root, nil)
-		if err != nil {
-			return false
-		}
-		gotC, err := c.Certain(root, nil)
-		if err != nil {
-			return false
-		}
-		return gotP == possible && gotC == certain
-	}, cfg)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMonotonePossibleCertainFastPath(t *testing.T) {
-	c := New()
-	a, b := c.Var("a"), c.Var("b")
-	root := c.Or(c.And(a, b), b)
-	if !c.Monotone() {
-		t.Fatal("circuit should be monotone")
-	}
-	possible, err := c.Possible(root, nil)
-	if err != nil || !possible {
-		t.Errorf("Possible = %v, %v; want true", possible, err)
-	}
-	certain, err := c.Certain(root, nil)
-	if err != nil || certain {
-		t.Errorf("Certain = %v, %v; want false", certain, err)
-	}
-}
-
-func TestLongChainProbability(t *testing.T) {
-	// AND-chain over 40 events with p = 0.9: P = 0.9^40. Enumeration would
-	// need 2^40 worlds; message passing handles it easily.
-	c := New()
-	acc := c.Const(true)
-	for i := 0; i < 40; i++ {
-		acc = c.And(acc, c.Var(logic.Event(fmt_i("e", i))))
-	}
-	p := logic.Prob{}
-	for _, e := range c.Events() {
-		p[e] = 0.9
-	}
-	got, err := c.Probability(acc, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Pow(0.9, 40)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("P = %v, want %v", got, want)
-	}
-}
-
-func fmt_i(prefix string, i int) logic.Event {
-	return logic.Event(prefix + string(rune('0'+i/10)) + string(rune('0'+i%10)))
-}
-
 func TestStats(t *testing.T) {
 	c := New()
 	a, b := c.Var("a"), c.Var("b")
@@ -237,17 +76,6 @@ func TestStats(t *testing.T) {
 	s := c.Stat()
 	if s.Vars != 2 || s.Ands != 1 || s.Ors != 1 || s.Nots != 1 {
 		t.Errorf("Stats = %+v", s)
-	}
-}
-
-func TestReachableFrom(t *testing.T) {
-	c := New()
-	a, b := c.Var("a"), c.Var("b")
-	g1 := c.And(a, b)
-	c.Or(a, b) // unreachable from g1
-	reach := c.ReachableFrom(g1)
-	if len(reach) != 3 {
-		t.Errorf("ReachableFrom = %v, want 3 gates", reach)
 	}
 }
 
@@ -260,5 +88,71 @@ func TestEnumerationProbabilityMatchesFormula(t *testing.T) {
 	want := logic.Probability(f, p)
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("enum = %v, formula = %v", got, want)
+	}
+}
+
+// TestBinarizeKeepsFunctions checks Binarize on random circuits with wide
+// And and Or gates: every kept gate has at most two inputs, the variable
+// gates come first, gates no root reaches are dropped, and each root
+// computes its original function on every valuation.
+func TestBinarizeKeepsFunctions(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		c := New()
+		gates := []Gate{c.Const(r.Intn(2) == 0)}
+		for i := 0; i < 2+r.Intn(4); i++ {
+			gates = append(gates, c.Var(logic.Event(fmt.Sprintf("e%d", i))))
+		}
+		for i := 0; i < 3+r.Intn(10); i++ {
+			ins := make([]Gate, 1+r.Intn(6))
+			for j := range ins {
+				ins[j] = gates[r.Intn(len(gates))]
+			}
+			switch r.Intn(3) {
+			case 0:
+				gates = append(gates, c.Not(ins[0]))
+			case 1:
+				gates = append(gates, c.And(ins...))
+			default:
+				gates = append(gates, c.Or(ins...))
+			}
+		}
+		roots := []Gate{gates[len(gates)-1], gates[r.Intn(len(gates))]}
+		b, broots := c.Binarize(roots)
+		if err := b.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		vars := true
+		for g := 0; g < b.NumGates(); g++ {
+			if len(b.Inputs(Gate(g))) > 2 {
+				t.Fatalf("trial %d: gate %d keeps %d inputs", trial, g, len(b.Inputs(Gate(g))))
+			}
+			isVar := b.KindOf(Gate(g)) == KindVar
+			if isVar && !vars {
+				t.Fatalf("trial %d: variable gate %d after a non-variable gate", trial, g)
+			}
+			vars = vars && isVar
+		}
+		reached := map[Gate]bool{}
+		var mark func(Gate)
+		mark = func(g Gate) {
+			reached[g] = true
+			for _, in := range b.Inputs(g) {
+				mark(in)
+			}
+		}
+		for _, g := range broots {
+			mark(g)
+		}
+		if len(reached) != b.NumGates() {
+			t.Fatalf("trial %d: %d of %d gates reachable from the roots", trial, len(reached), b.NumGates())
+		}
+		logic.EnumerateValuations(c.Events(), func(v logic.Valuation) {
+			for i, root := range roots {
+				if c.Eval(root, v) != b.Eval(broots[i], v) {
+					t.Fatalf("trial %d: root %d differs on %v", trial, i, v)
+				}
+			}
+		})
 	}
 }

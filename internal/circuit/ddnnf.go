@@ -1,9 +1,6 @@
 package circuit
 
-import (
-	"repro/internal/core/kernel"
-	"repro/internal/logic"
-)
+import "repro/internal/logic"
 
 // DDNNFProbability evaluates the probability of root in a single bottom-up
 // pass, assuming the circuit is deterministic (the inputs of every Or gate
@@ -14,7 +11,8 @@ import (
 // satisfy both properties by construction, which is what makes query
 // probability linear-time on bounded-treewidth instances (Theorems 1 and 2).
 // On circuits violating the properties the result is meaningless; use
-// Probability (message passing) or EnumerationProbability instead.
+// EnumerationProbability instead, or core.PreparePCC, which evaluates any
+// circuit of bounded treewidth exactly.
 func (c *Circuit) DDNNFProbability(root Gate, p logic.Prob) float64 {
 	vals := make([]float64, len(c.nodes))
 	for i, n := range c.nodes {
@@ -49,53 +47,4 @@ func (c *Circuit) DDNNFProbability(root Gate, p logic.Prob) float64 {
 		v = 1
 	}
 	return v
-}
-
-// DDNNFProbabilityBatch evaluates the probability of root under B = len(ps)
-// probability maps in one bottom-up pass, carrying a lane vector per gate:
-// the multi-lane counterpart of DDNNFProbability, matching the batched
-// dynamic program of internal/core. Sharing the single circuit traversal
-// across all B assignments makes lineage-based parameter sweeps pay the
-// gate-graph walk once instead of per assignment.
-func (c *Circuit) DDNNFProbabilityBatch(root Gate, ps []logic.Prob) []float64 {
-	B := len(ps)
-	if B == 0 {
-		return nil
-	}
-	vals := make([]float64, len(c.nodes)*B)
-	for i, n := range c.nodes {
-		lane := vals[i*B : i*B+B]
-		switch n.kind {
-		case KindConst:
-			if n.value {
-				kernel.Fill(lane, 1)
-			}
-		case KindVar:
-			for l, p := range ps {
-				lane[l] = p.P(n.event)
-			}
-		case KindNot:
-			kernel.OneMinus(lane, vals[int(n.inputs[0])*B:int(n.inputs[0])*B+B])
-		case KindAnd:
-			kernel.Fill(lane, 1)
-			for _, in := range n.inputs {
-				kernel.Mul(lane, vals[int(in)*B:int(in)*B+B])
-			}
-		case KindOr:
-			for _, in := range n.inputs {
-				kernel.AddTo(lane, vals[int(in)*B:int(in)*B+B])
-			}
-		}
-	}
-	out := make([]float64, B)
-	copy(out, vals[int(root)*B:int(root)*B+B])
-	for l, v := range out {
-		if v < 0 {
-			out[l] = 0
-		}
-		if v > 1 {
-			out[l] = 1
-		}
-	}
-	return out
 }

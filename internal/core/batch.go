@@ -114,7 +114,7 @@ func (pl *Plan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 	defer pl.putState(st)
 	// Validation is fused into the weight fill: one pass over each lane's
 	// map both checks and scatters it.
-	pe, lerrs := pl.fillLaneWeightsChecked(st, ps)
+	pe, lerrs := pl.fillLaneWeights(st, ps)
 	if nan := allLanesNaN(lerrs); nan != nil {
 		return nan, LaneErrors(lerrs)
 	}

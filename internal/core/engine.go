@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"strconv"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -63,24 +64,43 @@ func JointEventGraph(c *pdb.CInstance, di *rel.DomainIndex) (g *treedec.Graph, e
 	return j.g, j.events, eventVertex
 }
 
-// jointGraph is the joint instance+event graph of a pc-instance together
-// with what building it computed per fact, so Prepare reads each fact's
-// scope and annotation events once.
+// jointGraph is the joint graph a plan is compiled against, together with
+// what building it computed per scope, so Prepare reads each fact's scope
+// and annotation once. Vertices are the domain elements, then the bag bits:
+// the weighted events first, then (on a pcc-instance) the gates that carry
+// no weight.
 type jointGraph struct {
 	g        *treedec.Graph
 	nDom     int
-	events   []logic.Event       // sorted; event i is vertex nDom+i
+	events   []logic.Event       // event i is vertex nDom+i, forgotten with its weight
 	eventIdx map[logic.Event]int // event -> index into events
-	// scopes[fi] is fact fi's clique: its argument vertices, then the
-	// vertices of its annotation's events. Both parts are sorted and every
-	// event vertex lies above every domain vertex, so the whole scope is
-	// sorted. The scopes share one backing array.
+	// scopes[i] is the clique of a homed scope: a fact's argument vertices,
+	// then the bit vertices of its annotation, or (past the facts) the bit
+	// vertices of a pcc gate and its inputs. Every scope is sorted; a
+	// pc-instance's share one backing array.
 	scopes [][]int
+	// anns[i] is scope i's formula over bag bits: a fact's annotation, or
+	// past the facts a gate's consistency rule, which drops the rows that
+	// violate it.
+	anns []logic.Formula
+	// gateVars reports that the formulas' variables name pcc gates by
+	// number (gateVar) rather than events.
+	gateVars bool
+}
+
+// vertexOf resolves a formula variable of j.anns to its vertex.
+func (j *jointGraph) vertexOf(e logic.Event) (int, bool) {
+	if j.gateVars {
+		g, err := strconv.Atoi(string(e))
+		return j.nDom + g, err == nil
+	}
+	i, ok := j.eventIdx[e]
+	return j.nDom + i, ok
 }
 
 // buildJoint builds the joint graph of c over the domain index di.
 func buildJoint(c *pdb.CInstance, di *rel.DomainIndex) jointGraph {
-	j := jointGraph{nDom: len(di.Names), events: c.Events()}
+	j := jointGraph{nDom: len(di.Names), events: c.Events(), anns: c.Ann}
 	j.eventIdx = make(map[logic.Event]int, len(j.events))
 	for i, e := range j.events {
 		j.eventIdx[e] = i

@@ -70,28 +70,6 @@ func ScaleAdd(dst, v []float64, c float64) {
 	}
 }
 
-// Mul multiplies dst pointwise by v: dst[i] *= v[i] (the decomposable-And
-// kernel of the d-DNNF batch pass). The blocks must have equal length.
-//
-//pdblint:hotpath boundshint
-func Mul(dst, v []float64) {
-	_ = v[len(dst)-1]
-	for i := range dst {
-		dst[i] *= v[i]
-	}
-}
-
-// OneMinus writes the complement of src into dst: dst[i] = 1 - src[i]. The
-// blocks must have equal length.
-//
-//pdblint:hotpath boundshint
-func OneMinus(dst, src []float64) {
-	_ = src[len(dst)-1]
-	for i := range dst {
-		dst[i] = 1 - src[i]
-	}
-}
-
 // Fill sets every element of dst to v.
 //
 //pdblint:hotpath

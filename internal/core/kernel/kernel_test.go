@@ -47,19 +47,6 @@ func TestPrimitives(t *testing.T) {
 				t.Fatalf("ScaleAdd n=%d i=%d: %v", n, i, dst[i])
 			}
 		}
-		copy(ref, dst)
-		Mul(dst, v)
-		for i := range dst {
-			if !almost(dst[i], ref[i]*v[i]) {
-				t.Fatalf("Mul n=%d i=%d: %v", n, i, dst[i])
-			}
-		}
-		OneMinus(dst, v)
-		for i := range dst {
-			if !almost(dst[i], 1-v[i]) {
-				t.Fatalf("OneMinus n=%d i=%d: %v", n, i, dst[i])
-			}
-		}
 		Fill(dst, 0.75)
 		for i := range dst {
 			if dst[i] != 0.75 {

@@ -28,10 +28,12 @@ func errMassDrift(total float64) error {
 }
 
 // Plan is a compiled query plan: the Prepare/Evaluate split of the Theorem
-// 1/2 engine. Prepare hoists every probability-independent stage out of the
-// per-call path — domain indexing, the joint instance+event graph, its tree
+// 1/2 engine. Prepare (pc-instances, TIDs through their translation) and
+// PreparePCC (pcc-instances) hoist every probability-independent stage out
+// of the per-call path — domain indexing, the joint graph, its tree
 // decomposition, the nice decomposition, fact homing, compiled annotation
-// evaluators, and the determinized automaton itself. The row keys of every
+// evaluators (and a pcc plan's gate consistency filters), and the
+// determinized automaton itself. The row keys of every
 // node table depend only on that structure, never on the probabilities, so
 // Prepare runs one structural pass (detPass) that determinizes every
 // reachable transition and compiles the whole dynamic program into the row
@@ -188,19 +190,24 @@ type planNode struct {
 	colour   int  // colour of the introduced/forgotten domain vertex
 	child0   int  // first child, -1 if none
 	child1   int  // second child, -1 if none
-	isEvent  bool // the vertex is an event vertex
-	pos      int  // bit position of the event within the child bag's events
-	eventIdx int  // index into events for forget-event nodes
+	isEvent  bool // the vertex is a bag bit: an event, or a pcc gate
+	pos      int  // bit position of the vertex within the child bag's bits
+	eventIdx int  // index into events for forget-event nodes; -1 elsewhere, weightless gates included
 	facts    []planFact
 }
 
 // planFact is a fact homed at a node, addressed by its query signature (see
 // Query.FactSignature), with its annotation compiled against the bag's event
-// bit layout: the annotation evaluates directly over a row's bits word.
+// bit layout: the annotation evaluates directly over a row's bits word. A
+// planFact whose sig is filterSig is a pcc gate's consistency rule instead:
+// the rows whose bits violate it are dropped.
 type planFact struct {
 	sig int
 	cf  *logic.CompiledFormula
 }
+
+// filterSig marks a planFact as a row filter.
+const filterSig = -1
 
 // rowKey is one determinized table row key: an interned automaton state set
 // and the valuation of the in-bag events.
@@ -288,7 +295,13 @@ type setInterner struct {
 // EmitLineage makes (*Plan).Result build the d-DNNF lineage on every call.
 func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 	di := c.Inst.IndexDomain()
-	j := buildJoint(c, di)
+	return prepareJoint(c.Inst, di, buildJoint(c, di), q, opts)
+}
+
+// prepareJoint is the one Prepare body, shared by pc- and pcc-instances:
+// it decomposes the joint graph j of inst over di, homes j's scopes, and
+// compiles the row program.
+func prepareJoint(inst *rel.Instance, di *rel.DomainIndex, j jointGraph, q Query, opts Options) (*Plan, error) {
 	d := opts.Joint
 	if d == nil {
 		d = treedec.Decompose(j.g, opts.Heuristic)
@@ -326,7 +339,7 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 		automaton: newAutomaton(),
 	}
 
-	// Home every fact at a nice node covering its args and events.
+	// Home every scope at a nice node covering it.
 	assign, err := nice.AssignScopes(j.scopes)
 	if err != nil {
 		return nil, fmt.Errorf("core: cannot home facts in decomposition: %w", err)
@@ -349,7 +362,7 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 			if nd.Vertex >= nDom {
 				pn.isEvent = true
 				pn.pos = eventPosition(nice.Nodes[nd.Children[0]].Bag, nDom, nd.Vertex, nd.Kind == treedec.NiceIntroduce)
-				if nd.Kind == treedec.NiceForget {
+				if nd.Kind == treedec.NiceForget && nd.Vertex-nDom < len(j.events) {
 					pn.eventIdx = nd.Vertex - nDom
 				}
 			} else {
@@ -358,7 +371,7 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 		}
 		pl.nodes[t] = pn
 	}
-	pl.homeFacts(c, j, assign)
+	pl.homeFacts(inst, j, assign)
 	pl.rebuildTopology()
 	dp := newDetPass(q, &pl.structure, &pl.automaton, true)
 	pl.startSet = dp.internStrings(detStep(q, q.Start(), func(s string) []string { return []string{s} }))
@@ -366,28 +379,30 @@ func Prepare(c *pdb.CInstance, q Query, opts Options) (*Plan, error) {
 	return pl, nil
 }
 
-// homeFacts gives every node the facts assign homes there, in instance
+// homeFacts gives every node the scopes assign homes there, in scope
 // order, carved from one slice: each fact's signature under the plan's
-// colouring and its annotation compiled against the node bag's event bits.
-func (pl *Plan) homeFacts(c *pdb.CInstance, j jointGraph, assign []int) {
+// colouring, or a filter's, and its formula compiled against the node
+// bag's event bits.
+func (pl *Plan) homeFacts(inst *rel.Instance, j jointGraph, assign []int) {
 	facts := make([]planFact, len(assign))
 	var colourBuf []int
 	start := csr32(nil, len(pl.nodes), len(assign),
-		func(fi int) int32 { return int32(assign[fi]) },
-		func(fi, slot int) {
-			bag := pl.nice.Nodes[assign[fi]].Bag
-			// All annotation events are in the bag by the homing invariant.
+		func(i int) int32 { return int32(assign[i]) },
+		func(i, slot int) {
+			bag := pl.nice.Nodes[assign[i]].Bag
+			// All formula variables are in the bag by the homing invariant.
 			bit := func(e logic.Event) (int, bool) {
-				i, ok := j.eventIdx[e]
+				v, ok := j.vertexOf(e)
 				if !ok {
 					return 0, false
 				}
-				return eventPosition(bag, j.nDom, j.nDom+i, false), true
+				return eventPosition(bag, j.nDom, v, false), true
 			}
-			facts[slot] = planFact{
-				sig: factSignature(pl.q, c.Inst.Fact(fi), pl.di, pl.colour, &colourBuf),
-				cf:  logic.CompileMaskFunc(c.Ann[fi], bit),
+			pf := planFact{sig: filterSig, cf: logic.CompileMaskFunc(j.anns[i], bit)}
+			if i < inst.NumFacts() {
+				pf.sig = factSignature(pl.q, inst.Fact(i), pl.di, pl.colour, &colourBuf)
 			}
+			facts[slot] = pf
 		})
 	for t := range pl.nodes {
 		if lo, hi := start[t], start[t+1]; hi > lo {
@@ -416,7 +431,7 @@ func (st *structure) rebuildTopology() {
 		if nd.child1 >= 0 {
 			st.parents[nd.child1] = t
 		}
-		if nd.kind == treedec.NiceForget && nd.isEvent {
+		if nd.eventIdx >= 0 {
 			st.forgetAt[nd.eventIdx] = t
 		}
 	}
@@ -452,6 +467,23 @@ func (pl *Plan) Width() int { return pl.width }
 
 // NumNiceNodes returns the size of the compiled nice decomposition.
 func (pl *Plan) NumNiceNodes() int { return len(pl.nodes) }
+
+// ProgramSize returns the rows and the edges of the plan's row program,
+// join edges included: one evaluation lane does one add or multiply-add
+// per edge.
+func (pl *Plan) ProgramSize() (rows, edges int) { return programTotals(pl.prog.nodes) }
+
+// programTotals sums the rows and edges of the live node programs.
+func programTotals(progs []*nodeProg) (rows, edges int) {
+	for _, np := range progs {
+		if np == nil || np.dead {
+			continue
+		}
+		rows += int(np.rows)
+		edges += len(np.edges) + len(np.joins)
+	}
+	return rows, edges
+}
 
 // Shape returns the structural statistics of the nice decomposition.
 // Depth bounds the per-update cost of a Materialized view: a single event
@@ -781,7 +813,7 @@ func (dp *detPass) miss() {
 // probabilities p and returns the root block, taken from st's arena.
 func (pl *Plan) runProgram(st *evalState, prog *rowProgram, p logic.Prob) []float64 {
 	st.one[0] = p
-	pe := pl.fillLaneWeights(st, st.one[:])
+	pe, _ := pl.fillLaneWeights(st, st.one[:]) // p is validated by every caller
 	st.one[0] = nil
 	return pl.runBatchProg(st, prog, pe, 1)
 }

@@ -10,8 +10,9 @@
 //
 // One engine consumes a Query. Prepare (plan.go) determinizes the automaton
 // over a nice decomposition of the joint instance+event graph and compiles
-// the dynamic program into a row program (rowprog.go), and every query
-// semantics is read off that program:
+// the dynamic program into a row program (rowprog.go); PreparePCC (pcc.go)
+// compiles a pcc-instance through the same body, its circuit's gates as bag
+// bits. Every query semantics is read off that program:
 //
 //   - probability: one run of the program propagates exact probability mass
 //     per row (Theorems 1 and 2), linear in the instance for fixed query and

@@ -86,15 +86,22 @@ type rowProgram struct {
 
 // factRemap composes the transitions of the facts homed at nd onto row key
 // k: each annotation is a compiled mask over k.bits (which no fact changes),
-// so the whole fact chain folds into one set remap per row.
-func (dp *detPass) factRemap(nd *planNode, k rowKey) rowKey {
+// so the whole fact chain folds into one set remap per row. It reports
+// false when a filter homed at nd rejects k.bits.
+func (dp *detPass) factRemap(nd *planNode, k rowKey) (rowKey, bool) {
 	for i := range nd.facts {
 		pf := &nd.facts[i]
-		if pf.cf.Eval(k.bits) {
+		holds := pf.cf.Eval(k.bits)
+		switch {
+		case pf.sig == filterSig:
+			if !holds {
+				return k, false
+			}
+		case holds:
 			k.set = dp.stepSet(opFact, pf.sig, k.set)
 		}
 	}
-	return k
+	return k, true
 }
 
 // compileNodeProg compiles the row program of node t into np against the
@@ -139,20 +146,19 @@ func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey, np *nodeProg, buf 
 			pos := nd.pos
 			np.edges = make([]rpEdge, 0, 2*len(child))
 			for si, k := range child {
-				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, false)})},
-					rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: k.set, bits: insertBit(k.bits, pos, true)})})
+				np.edges = dp.edge(np.edges, nd, si, rowKey{set: k.set, bits: insertBit(k.bits, pos, false)})
+				np.edges = dp.edge(np.edges, nd, si, rowKey{set: k.set, bits: insertBit(k.bits, pos, true)})
 			}
 		} else {
 			np.edges = make([]rpEdge, 0, len(child))
 			for si, k := range child {
-				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: dp.stepSet(opIntroduce, nd.colour, k.set), bits: k.bits})})
+				np.edges = dp.edge(np.edges, nd, si, rowKey{set: dp.stepSet(opIntroduce, nd.colour, k.set), bits: k.bits})
 			}
 		}
 
 	case treedec.NiceForget:
-		if nd.isEvent {
+		switch {
+		case nd.eventIdx >= 0:
 			// Every child row feeds one edge: true-bit edges first, then
 			// the false-bit ones, each in child-row order.
 			np.kind = pkForgetEvent
@@ -161,22 +167,29 @@ func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey, np *nodeProg, buf 
 			np.edges = make([]rpEdge, 0, len(child))
 			e0 := dp.e0[:0]
 			for si, k := range child {
-				e := rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: k.set, bits: removeBit(k.bits, pos)})}
+				key := rowKey{set: k.set, bits: removeBit(k.bits, pos)}
 				if k.bits&(1<<uint(pos)) != 0 {
-					np.edges = append(np.edges, e)
+					np.edges = dp.edge(np.edges, nd, si, key)
 				} else {
-					e0 = append(e0, e)
+					e0 = dp.edge(e0, nd, si, key)
 				}
 			}
 			np.n1 = int32(len(np.edges))
 			np.edges = append(np.edges, e0...)
 			dp.e0 = e0
-		} else {
+		case nd.isEvent:
+			// A pcc gate: its value is fixed by its inputs, so its two
+			// rows merge with no weight.
 			np.kind = pkUnary
 			np.edges = make([]rpEdge, 0, len(child))
 			for si, k := range child {
-				np.edges = append(np.edges,
-					rpEdge{src: int32(si), dst: dp.slot(nd, rowKey{set: dp.stepSet(opForget, nd.colour, k.set), bits: k.bits})})
+				np.edges = dp.edge(np.edges, nd, si, rowKey{set: k.set, bits: removeBit(k.bits, nd.pos)})
+			}
+		default:
+			np.kind = pkUnary
+			np.edges = make([]rpEdge, 0, len(child))
+			for si, k := range child {
+				np.edges = dp.edge(np.edges, nd, si, rowKey{set: dp.stepSet(opForget, nd.colour, k.set), bits: k.bits})
 			}
 		}
 
@@ -205,10 +218,9 @@ func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey, np *nodeProg, buf 
 				continue
 			}
 			for ri := dp.runs.vals[i]; ri >= 0; ri = dp.runNext[ri] {
-				np.joins = append(np.joins, rpJoin{
-					l: int32(li), r: ri,
-					dst: dp.slot(nd, rowKey{set: dp.joinSets(lk.set, right[ri].set), bits: lk.bits}),
-				})
+				if dst := dp.slot(nd, rowKey{set: dp.joinSets(lk.set, right[ri].set), bits: lk.bits}); dst >= 0 {
+					np.joins = append(np.joins, rpJoin{l: int32(li), r: ri, dst: dst})
+				}
 			}
 		}
 	}
@@ -218,11 +230,23 @@ func (dp *detPass) compileNodeProg(t int, layouts [][]rowKey, np *nodeProg, buf 
 	return keys
 }
 
+// edge appends to edges the edge from child row src to the row k lands in,
+// unless a filter drops k.
+func (dp *detPass) edge(edges []rpEdge, nd *planNode, src int, k rowKey) []rpEdge {
+	if dst := dp.slot(nd, k); dst >= 0 {
+		edges = append(edges, rpEdge{src: int32(src), dst: dst})
+	}
+	return edges
+}
+
 // slot returns the row of node nd's table that row key k (before the
 // node's fact transitions) lands in, appending a new row to the layout
-// under construction on first encounter.
+// under construction on first encounter, or -1 when a filter drops k.
 func (dp *detPass) slot(nd *planNode, k rowKey) int32 {
-	k = dp.factRemap(nd, k)
+	k, ok := dp.factRemap(nd, k)
+	if !ok {
+		return -1
+	}
 	i, found := dp.rows.find(k)
 	if found {
 		return dp.rows.vals[i]
@@ -725,33 +749,13 @@ func (pl *Plan) PossibleCertain(p logic.Prob) (possible, certain bool, err error
 // entries through the plan's single event index, so every string key hashes
 // into one cache-resident map exactly once per lane.
 //
-//pdblint:hotpath -maprange
-func (pl *Plan) fillLaneWeights(st *evalState, ps []logic.Prob) []float64 {
-	B := len(ps)
-	need := len(pl.events) * B
-	if cap(st.peBuf) < need {
-		st.peBuf = make([]float64, need)
-	}
-	pe := st.peBuf[:need]
-	kernel.Fill(pe, 0.5)
-	for l, p := range ps {
-		for e, v := range p {
-			if i, ok := pl.eventIdx[e]; ok {
-				pe[i*B+l] = v
-			}
-		}
-	}
-	return pe
-}
-
-// fillLaneWeightsChecked is fillLaneWeights with per-lane validation fused
-// into the scatter, so each lane's map is iterated exactly once per batch
-// call instead of once for Validate and once for the fill. A lane with an
-// out-of-range or NaN probability is recorded in the returned error slice
-// (nil when every lane is valid, matching sanitizeLanes) and its weight
-// column is reset to the 0.5 defaults so the shared program stays finite;
-// the caller overwrites its output with NaN.
-func (pl *Plan) fillLaneWeightsChecked(st *evalState, ps []logic.Prob) ([]float64, []error) {
+// Validation is fused into the scatter, so each lane's map is iterated once.
+// A lane with an out-of-range or NaN probability is recorded in the returned
+// error slice (nil when every lane is valid, matching sanitizeLanes) and its
+// weight column is reset to the 0.5 defaults so the shared program stays
+// finite; the caller overwrites its output with NaN. Callers whose maps are
+// already validated ignore the slice.
+func (pl *Plan) fillLaneWeights(st *evalState, ps []logic.Prob) ([]float64, []error) {
 	B := len(ps)
 	need := len(pl.events) * B
 	if cap(st.peBuf) < need {

@@ -381,7 +381,7 @@ func (sp *ShardedPlan) ProbabilityBatch(ps []logic.Prob) ([]float64, error) {
 	runPool(len(sp.shards), 0, func(i int) {
 		pl := sp.shards[i]
 		st := pl.getState()
-		pe := pl.fillLaneWeights(st, clean)
+		pe, _ := pl.fillLaneWeights(st, clean)
 		vec := make([]float64, len(sp.prog.keys[i])*B)
 		prog := pl.prog
 		root := pl.runBatchProg(st, prog, pe, B)

@@ -119,18 +119,6 @@ func TestColouringProperOnRandomPartialKTrees(t *testing.T) {
 	}
 }
 
-// programTotals sums the rows and edges of the live node programs.
-func programTotals(progs []*nodeProg) (rows, edges int) {
-	for _, np := range progs {
-		if np == nil || np.dead {
-			continue
-		}
-		rows += int(np.rows)
-		edges += len(np.edges) + len(np.joins)
-	}
-	return rows, edges
-}
-
 // TestRowProgramTotalsGolden pins the row programs of fixed instances to
 // the totals the element-keyed automaton compiled before colours replaced
 // elements: colouring is a bijection on every bag, so every node table keeps

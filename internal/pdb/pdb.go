@@ -338,6 +338,7 @@ func (c *CInstance) Sample(r *rand.Rand, p logic.Prob) *rel.Instance {
 // PCC is a pcc-instance (Section 2.2): facts annotated by gates of a shared
 // Boolean circuit, with independent probabilities on the circuit's events.
 // Correlations between facts are expressed by sharing gates or events.
+// core.PreparePCC evaluates queries on it.
 type PCC struct {
 	Inst *rel.Instance
 	Circ *circuit.Circuit
@@ -426,20 +427,15 @@ func (p *PCC) JointGraph() (g *treedec.Graph, di *rel.DomainIndex, gateOffset in
 	nDom := len(di.Names)
 	nGates := p.Circ.NumGates()
 	g = treedec.NewGraph(nDom + nGates)
-	// Gaifman edges.
-	for _, scope := range p.Inst.FactScopes(di) {
-		g.AddClique(scope)
-	}
 	// Circuit moral edges, shifted.
 	moral := p.Circ.MoralGraph()
 	for _, e := range moral.Edges() {
 		g.AddEdge(nDom+e[0], nDom+e[1])
 	}
-	// Fact-annotation links: the annotation gate joins the fact's clique.
-	for i := 0; i < p.NumFacts(); i++ {
-		scope := append([]int{}, factScope(p.Inst.Fact(i), di)...)
-		scope = append(scope, nDom+int(p.Ann[i]))
-		g.AddClique(scope)
+	// Each fact's clique: its arguments (the Gaifman edges) and its
+	// annotation gate.
+	for i, scope := range p.Inst.FactScopes(di) {
+		g.AddClique(append(scope, nDom+int(p.Ann[i])))
 	}
 	return g, di, nDom
 }
@@ -448,17 +444,4 @@ func (p *PCC) JointGraph() (g *treedec.Graph, di *rel.DomainIndex, gateOffset in
 func (p *PCC) JointWidth() int {
 	g, _, _ := p.JointGraph()
 	return treedec.Treewidth(g)
-}
-
-func factScope(f rel.Fact, di *rel.DomainIndex) []int {
-	seen := map[int]struct{}{}
-	var scope []int
-	for _, a := range f.Args {
-		v := di.ByName[a]
-		if _, dup := seen[v]; !dup {
-			seen[v] = struct{}{}
-			scope = append(scope, v)
-		}
-	}
-	return scope
 }

@@ -15,6 +15,6 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 # The bench-smoke set.
-smoke='E1TIDScalingPrepared/evaluate/n=50|E1Update/attach/n=800|E1ShardedUpdate/shards=16|E13Service/query/clients=4|E15Mixed|PrepareCold|E1TIDScaling/engine/n=800|E5HardQuery/engine/chain200|PrepareLayers'
+smoke='E1TIDScalingPrepared/evaluate/n=50|E2PCC/n=800|E1Update/attach/n=800|E1ShardedUpdate/shards=16|E13Service/query/clients=4|E15Mixed|PrepareCold|E1TIDScaling/engine/n=800|E5HardQuery/engine/chain200|PrepareLayers'
 BENCH="$smoke" COUNT=1 scripts/bench.sh "$tmp/smoke.json" > "$tmp/log" || { cat "$tmp/log"; exit 1; }
 go run ./cmd/benchtab -compare -allocs-gate 10 BENCH_BASELINE.json "$tmp/smoke.json"

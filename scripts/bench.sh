@@ -58,6 +58,7 @@ awk -v host="$(go env GOOS)/$(go env GOARCH)" '
         else if ($f == "recovery_ms")       recms[name] += $(f-1)
         else if ($f == "p50_us")            p50[name] += $(f-1)
         else if ($f == "p99_us")            p99[name] += $(f-1)
+        else if ($f == "edges/fact")        edgesfact[name] += $(f-1)
     }
     runs[name]++
     if (!(name in seen)) { order[n++] = name; seen[name] = 1 }
@@ -101,6 +102,8 @@ END {
             extra = extra sprintf(", \"p50_us\": %.1f", p50[name]/runs[name])
         if (name in p99)
             extra = extra sprintf(", \"p99_us\": %.1f", p99[name]/runs[name])
+        if (name in edgesfact)
+            extra = extra sprintf(", \"edges_per_fact\": %.2f", edgesfact[name]/runs[name])
         if (!first) printf ",\n"
         first = 0
         printf "    \"%s\": {\"ns_per_op\": %.1f%s, \"bytes_per_op\": %.1f, \"allocs_per_op\": %.1f%s, \"runs\": %d}", \

@@ -32,6 +32,7 @@ TABLES = {
              for s in ("RST", "RS", "ST") for w in (1, 2) for n in (16, 28, 40)],
     "layers": ["PrepareLayers/%s/w=%d/n=40" % (l, w)
                for w in (1, 2) for l in ("joint", "decompose", "nice", "prepare")],
+    "pcc": ["E2PCC/n=%d" % n for n in (200, 800, 3200)],
 }
 
 def dur(ns):
@@ -47,19 +48,22 @@ def size(b):
     return "%.0fB" % b
 
 def table(names, benches):
-    rows = ["| benchmark | ns/op | min – max | B/op | allocs/op | runs |",
-            "|---|---|---|---|---|---|"]
+    # Benchmarks that count program edges per fact get a column for them.
+    edges = any("edges_per_fact" in benches.get("Benchmark" + n, {}) for n in names)
+    rows = ["| benchmark | ns/op | min – max | B/op | allocs/op | runs |" + (" edges/fact |" if edges else ""),
+            "|---|---|---|---|---|---|" + ("---|" if edges else "")]
     for name in names:
         e = benches.get("Benchmark" + name)
         if e is None:
-            rows.append("| `%s` | not recorded | | | | |" % name)
+            rows.append("| `%s` | not recorded | | | | |" % name + (" |" if edges else ""))
             continue
         if "ns_median" in e:
             t, spread = dur(e["ns_median"]), "%s – %s" % (dur(e["ns_min"]), dur(e["ns_max"]))
         else:  # recorded before bench.sh kept the spread: a mean only
             t, spread = dur(e["ns_per_op"]) + " (mean)", "not recorded"
         rows.append("| `%s` | %s | %s | %s | %s | %d |" % (
-            name, t, spread, size(e["bytes_per_op"]), "{:,.0f}".format(e["allocs_per_op"]), e["runs"]))
+            name, t, spread, size(e["bytes_per_op"]), "{:,.0f}".format(e["allocs_per_op"]), e["runs"])
+            + (" %.2f |" % e["edges_per_fact"] if edges else ""))
     return "\n".join(rows)
 
 with open(BASELINE) as f:
